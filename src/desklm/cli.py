@@ -21,8 +21,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
+from . import __version__
 from . import corpus as corpus_mod
 from . import evaluation as eval_mod
 from . import io as dio
@@ -268,7 +270,6 @@ def cmd_train(args, argv):
     )
 
     trainer_mod.write_runlog(dirs["logs"] / "run_log.csv", result.log)
-    from dataclasses import asdict
     _write_json(dirs["logs"] / "events.json", [asdict(e) for e in result.events])
     steps_run = len(result.log)
     model.save(dirs["checkpoints"] / "final.ckpt", step=steps_run)
@@ -335,7 +336,7 @@ def cmd_grid_search(args, argv):
     return EXIT_OK
 
 
-def cmd_coord_check(args, argv):
+def cmd_coord_check(args):
     config = _load_config(args.config)
     hp = _load_hyperparams(args.hyperparams).validate()
     widths = sorted({int(w) for w in args.widths.split(",") if w.strip()})
@@ -344,7 +345,7 @@ def cmd_coord_check(args, argv):
     tokens, segments, _ = corpus_mod.load_packed(args.data)
     result = coordinate_check(config, hp, widths, args.steps,
                               (tokens, segments), args.seed,
-                              rows_per_batch=args.rows_per_batch or 4,
+                              rows_per_batch=args.rows_per_batch,
                               break_transfer=args.break_transfer)
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -391,9 +392,7 @@ def cmd_eval_bpb(args):
     tok = tok_mod.TokenizerModel.load(args.tokenizer)
     docs = corpus_mod.read_jsonl(args.eval)
     profiles = _parse_weight_profiles(_load_json(args.weights) if args.weights else None)
-    groups: dict[str, list] = {}
-    for d in docs:
-        groups.setdefault(d.domain, []).append(d)
+    groups = _docs_by_domain(docs)
     eval_sets = [eval_mod.load_eval_set(name, groups[name], tok)
                  for name in sorted(groups)]
     report = eval_mod.build_report(model, tok, eval_sets,
@@ -421,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="desklm",
         description="Desk-scale language-model pre-training laboratory.")
-    from . import __version__
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
@@ -505,8 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--rows-per-batch", type=int, default=None)
     sp.add_argument("--out", required=True, help="run directory")
 
-    sp = add("coord-check", cmd_coord_check, "width-transfer activation check",
-             needs_argv=True)
+    sp = add("coord-check", cmd_coord_check, "width-transfer activation check")
     sp.add_argument("--config", required=True, help="base (narrow) model config")
     sp.add_argument("--hyperparams", required=True,
                     help="hyperparameters tuned at the base width")
@@ -514,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=5)
     sp.add_argument("--data", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--rows-per-batch", type=int, default=None)
+    sp.add_argument("--rows-per-batch", type=int, default=4)
     sp.add_argument("--rms-ratio-limit", type=float, default=3.0,
                     help="max allowed activation growth across widths")
     sp.add_argument("--break-transfer", action="store_true",

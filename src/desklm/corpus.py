@@ -19,6 +19,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from . import io as dio
 from .errors import ConfigError, EmptyShingleError, PlanningError
 
 
@@ -77,10 +78,11 @@ def dedup_paragraphs(docs) -> tuple[list, int]:
     for d in docs:
         kept = []
         for para in d.text.split("\n\n"):
-            key = hashlib.blake2b(_normalize(para).encode("utf-8"), digest_size=16).digest()
-            if not _normalize(para):
+            norm = _normalize(para)
+            if not norm:
                 kept.append(para)
                 continue
+            key = hashlib.blake2b(norm.encode("utf-8"), digest_size=16).digest()
             if key in seen:
                 removed += 1
                 continue
@@ -391,7 +393,6 @@ def pack(token_docs, context_length: int, pad_id: int):
 
 
 def save_packed(path, tokens, segments, meta: dict | None = None):
-    from . import io as dio
     m = {"kind": "packed", "context_length": int(tokens.shape[1])}
     if meta:
         m.update(meta)
@@ -400,7 +401,6 @@ def save_packed(path, tokens, segments, meta: dict | None = None):
 
 
 def load_packed(path):
-    from . import io as dio
     arrays, meta = dio.load_arrays(path)
     if meta.get("kind") != "packed":
         raise ConfigError(f"{path} is not a packed-token file")

@@ -55,6 +55,8 @@ def domain_loss(model, tokenizer, eval_set: DomainEvalSet,
     training rows; the mean is over all predicted positions (document
     boundaries inside a row included), so batching cannot change it.
     """
+    if rows_per_batch <= 0:
+        raise ConfigError(f"rows_per_batch must be positive, got {rows_per_batch}")
     ctx = model.config.context_length
     token_docs = [tokenizer.encode(t) for t in eval_set.documents]
     token_docs = [d for d in token_docs if len(d) >= 1]

@@ -97,7 +97,7 @@ def count_params(config: ModelConfig) -> int:
     return 2 * config.vocab_size * d + config.layer_num * per_layer + 2 * d
 
 
-def attention_bias(segments: np.ndarray, pad_is_self_only: bool = True) -> np.ndarray:
+def attention_bias(segments: np.ndarray) -> np.ndarray:
     """Additive attention bias from packed-row segment ids.
 
     segments: [B, T] ints, 0 for padding, 1.. for documents within the row.
@@ -127,6 +127,7 @@ class Model:
         self.config = config.validate()
         self.multipliers = multipliers.validate()
         self.params = params
+        self.last_stats = None
 
     # -- construction ------------------------------------------------------
 
@@ -134,9 +135,14 @@ class Model:
     def build(cls, config: ModelConfig, hp: HyperParams, rng: RngState) -> "Model":
         """Initialize from hyperparameters: matrix-like weights get
         trunc_normal(0, matrix_std), embedding and lm head get
-        trunc_normal(0, vector_std), norm gains 1 and biases 0.
+        trunc_normal(0, vector_std), norm gains 1 and biases 0.  The
+        rotary base comes from ``config``; ``hp.rope_theta`` must match it.
         """
         config.validate()
+        if hp.rope_theta != config.rope_theta:
+            raise ConfigError(
+                f"hyperparameter rope_theta {hp.rope_theta!r} differs from "
+                f"model config rope_theta {config.rope_theta!r}")
         d, f, v = config.hidden_size, config.ffn_hidden_size, config.vocab_size
 
         def p(arr):
@@ -179,10 +185,12 @@ class Model:
         if tokens.size and (tokens.min() < 0 or tokens.max() >= self.config.vocab_size):
             raise ConfigError("token id out of vocabulary range")
 
-    def forward(self, tokens, segments=None, want_stats: bool = False):
+    def forward(self, tokens, segments=None):
         """tokens: [B, T] int ids; segments: [B, T] packed-row segment ids
         (0 = pad) or None for plain causal attention.  Returns [B, T, V]
-        logits, plus an activation-RMS stats dict when want_stats is set.
+        logits.  The RMS over live positions of each block output
+        (``block_rms``) and of the residual entering the final LayerNorm
+        (``pre_logit_rms``) is left on ``self.last_stats``.
         """
         cfg = self.config
         tokens = np.asarray(tokens)
@@ -226,19 +234,15 @@ class Model:
             h = T.add(h, T.swiglu_ffn(x, self.params[f"{pre}.ffn.w_gate"],
                                       self.params[f"{pre}.ffn.w_up"],
                                       self.params[f"{pre}.ffn.w_down"]))
-            if want_stats:
-                stats["block_rms"].append(rms_of(h))
-        if want_stats:
-            stats["pre_logit_rms"] = rms_of(h)
+            stats["block_rms"].append(rms_of(h))
+        stats["pre_logit_rms"] = rms_of(h)
+        self.last_stats = stats
         hn = T.layer_norm(h, self.params["final_norm.gain"],
                           self.params["final_norm.bias"], cfg.norm_eps)
         logits = T.matmul(T.reshape(hn, (b * t, d)), self.params["lm_head"])
-        logits = T.scale(T.reshape(logits, (b, t, cfg.vocab_size)), self.multipliers.output_mult)
-        if want_stats:
-            return logits, stats
-        return logits
+        return T.scale(T.reshape(logits, (b, t, cfg.vocab_size)), self.multipliers.output_mult)
 
-    def loss(self, tokens, segments=None, want_stats: bool = False):
+    def loss(self, tokens, segments=None):
         """Mean next-token cross entropy in nats over predicted positions.
 
         Position t predicts tokens[:, t+1]; a position is counted when both
@@ -254,18 +258,14 @@ class Model:
             seg = np.ones((b, t), dtype=np.int32)
         else:
             seg = np.asarray(segments)
-        out = self.forward(tokens, segments, want_stats=want_stats)
-        logits, stats = out if want_stats else (out, None)
+        logits = self.forward(tokens, segments)
         targets = np.zeros_like(tokens)
         targets[:, :-1] = tokens[:, 1:]
         mask = np.zeros((b, t), dtype=np.float64)
         mask[:, :-1] = (seg[:, :-1] != 0) & (seg[:, 1:] != 0)
-        loss = T.softmax_cross_entropy(
+        return T.softmax_cross_entropy(
             T.reshape(logits, (b * t, self.config.vocab_size)),
             targets.reshape(-1), mask.reshape(-1))
-        if want_stats:
-            return loss, stats
-        return loss
 
     # -- persistence -------------------------------------------------------
 

@@ -215,6 +215,10 @@ def coordinate_check(base_config, hp: HyperParams, widths, steps: int,
     ``break_transfer=True`` deliberately skips the matrix_lr rescaling, the
     negative control that makes activations blow up with width.
     """
+    # model and trainer import this module, so importing them at the top
+    # would be a cycle.  The function stays here, not in trainer, because
+    # callers (the benchmark's tracing among them) find it as
+    # mup.coordinate_check.
     from . import trainer as _trainer
     from .model import Model
 

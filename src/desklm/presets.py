@@ -9,6 +9,7 @@ search optimum to width 8192 reproduces the flagship values bit for bit.
 
 from __future__ import annotations
 
+from .corpus import CorpusManifest, DomainSpec
 from .model import ModelConfig
 from .mup import HyperParams
 
@@ -111,7 +112,6 @@ def reference_manifest(total_token_budget: int = 2_000_000_000_000,
     domain's quota exceeds its size times epochs even at one token per
     byte), which the sampling planner duly reports.
     """
-    from .corpus import CorpusManifest, DomainSpec
     props = [row[2] for row in REFERENCE_DOMAIN_MIX]
     slack = 1.0 - sum(props)
     domains = []

@@ -9,7 +9,7 @@ multilingual text.
 
 from __future__ import annotations
 
-from .corpus import Document, write_jsonl
+from .corpus import Document
 from .tensor import RngState
 
 _CONS = ["b", "c", "d", "f", "g", "h", "j", "k", "l", "m",
@@ -163,10 +163,6 @@ def build_corpus(seed: int, target_bytes: int, styles=STYLES,
 def mixed_fixture_text(seed: int = 1234, target_bytes: int = 1_000_000) -> list[Document]:
     """The bundled mixed-text fixture used by tokenizer tests and the CLI."""
     return build_corpus(seed, target_bytes)
-
-
-def write_corpus_jsonl(path, docs):
-    write_jsonl(path, docs)
 
 
 def mutate_words(rng: RngState, text: str, frac: float, contiguous: bool = True) -> str:

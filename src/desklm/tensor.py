@@ -19,31 +19,23 @@ class RngState:
     """Deterministic random stream (PCG64).
 
     The same seed and the same sequence of calls produce the same values on
-    every platform.  ``draws`` counts how many values have been consumed,
-    which is handy when comparing two runs that should be in lockstep.
+    every platform.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
-        self.draws = 0
 
     def standard_normal(self, shape) -> np.ndarray:
-        self.draws += int(np.prod(shape))
         return self._gen.standard_normal(shape)
 
     def integers(self, low, high, size=None):
-        k = 1 if size is None else int(np.prod(size))
-        self.draws += k
         return self._gen.integers(low, high, size=size)
 
     def uniform(self, low=0.0, high=1.0, size=None):
-        k = 1 if size is None else int(np.prod(size))
-        self.draws += k
         return self._gen.uniform(low, high, size=size)
 
     def permutation(self, n: int) -> np.ndarray:
-        self.draws += int(n)
         return self._gen.permutation(int(n))
 
     def child(self, index: int) -> "RngState":
@@ -125,17 +117,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op})"
-
-    # Light operator sugar; model code mostly calls the module functions.
-    def __add__(self, other):
-        return add(self, other if isinstance(other, Tensor) else Tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
 
 
 def _needs_grad(*tensors) -> bool:

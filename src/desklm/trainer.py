@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
@@ -148,6 +148,8 @@ class AdamState:
 
 @dataclass
 class StepLog:
+    """One training step.  The activation RMS fields (see Model.forward)
+    live in memory only; run_log.csv holds RUNLOG_COLUMNS."""
     step: int
     tokens: int
     loss: float
@@ -155,6 +157,8 @@ class StepLog:
     lr_vector: float
     lr_matrix: float
     wall_ms: float
+    pre_logit_rms: float = math.nan
+    block_rms: list = field(default_factory=list)
 
 
 RUNLOG_COLUMNS = ["step", "tokens", "loss", "grad_norm", "lr_vector", "lr_matrix", "wall_ms"]
@@ -268,6 +272,8 @@ def batch_iterator(packed, rows_per_batch: int, steps: int, seed: int):
     n = tokens.shape[0]
     if n == 0:
         raise ConfigError("no packed rows to train on")
+    if rows_per_batch <= 0:
+        raise ConfigError(f"rows_per_batch must be positive, got {rows_per_batch}")
     rng = RngState(seed)
     order = []
     for _ in range(steps):
@@ -279,37 +285,32 @@ def batch_iterator(packed, rows_per_batch: int, steps: int, seed: int):
 
 
 def train_step(model: Model, batch, optimizer: AdamState, schedule: Schedule,
-               step_index: int, want_stats: bool = False):
-    """One forward/backward/update.  Returns (StepLog, stats, ok) where ok
-    is False if the step was skipped (non-finite loss or gradients)."""
+               step_index: int):
+    """One forward/backward/update.  Returns (StepLog, ok) where ok is
+    False if the step was skipped (non-finite loss or gradients); a
+    skipped step's grad_norm is NaN."""
     tokens, segments = batch
     t0 = time.perf_counter()
     tokens_after = (step_index + 1) * schedule.batch_tokens
     lrs = {ParamClass.VECTOR: lr_at(schedule, ParamClass.VECTOR, tokens_after),
            ParamClass.MATRIX: lr_at(schedule, ParamClass.MATRIX, tokens_after)}
     model.zero_grads()
-    out = model.loss(tokens, segments, want_stats=want_stats)
-    loss, stats = out if want_stats else (out, None)
+    loss = model.loss(tokens, segments)
     loss_val = loss.item()
-    if not math.isfinite(loss_val):
-        row = StepLog(step_index + 1, tokens_after, loss_val, float("nan"),
-                      lrs[ParamClass.VECTOR], lrs[ParamClass.MATRIX],
-                      (time.perf_counter() - t0) * 1e3)
-        return row, stats, False
-    loss.backward()
-    grads = [p.grad for p in model.params.values() if p.grad is not None]
-    try:
-        gnorm = clip_gradients(grads, schedule.clip_norm)
-    except NonFiniteGradientError:
-        row = StepLog(step_index + 1, tokens_after, loss_val, float("nan"),
-                      lrs[ParamClass.VECTOR], lrs[ParamClass.MATRIX],
-                      (time.perf_counter() - t0) * 1e3)
-        return row, stats, False
-    optimizer.apply(model, lrs, schedule)
+    gnorm, ok = math.nan, math.isfinite(loss_val)
+    if ok:
+        loss.backward()
+        grads = [p.grad for p in model.params.values() if p.grad is not None]
+        try:
+            gnorm = clip_gradients(grads, schedule.clip_norm)
+        except NonFiniteGradientError:
+            ok = False
+        else:
+            optimizer.apply(model, lrs, schedule)
     row = StepLog(step_index + 1, tokens_after, loss_val, gnorm,
                   lrs[ParamClass.VECTOR], lrs[ParamClass.MATRIX],
-                  (time.perf_counter() - t0) * 1e3)
-    return row, stats, True
+                  (time.perf_counter() - t0) * 1e3, **model.last_stats)
+    return row, ok
 
 
 def train(model: Model, schedule: Schedule, batches, steps: int,
@@ -332,7 +333,7 @@ def train(model: Model, schedule: Schedule, batches, steps: int,
     for i, batch in enumerate(batches):
         if i >= steps:
             break
-        row, _, ok = train_step(model, batch, optimizer, schedule, i)
+        row, ok = train_step(model, batch, optimizer, schedule, i)
         log.append(row)
         if not ok:
             if not math.isfinite(row.loss):
@@ -368,29 +369,18 @@ def run_coord_steps(model: Model, schedule: Schedule, batches, steps: int):
     therefore feed both a loss-curve comparison and a coordinate check.
     steps=0 records a single initialization-only forward pass.
     """
-    rows = []
-
-    def emit(step, loss_val, stats):
-        rows.append((step, "loss", loss_val))
-        rows.append((step, "pre_logit_rms", stats["pre_logit_rms"]))
-        for j, v in enumerate(stats["block_rms"]):
-            rows.append((step, f"block{j}_rms", v))
+    def emit(step, loss, pre_logit_rms, block_rms):
+        return [(step, "loss", loss), (step, "pre_logit_rms", pre_logit_rms)] + [
+            (step, f"block{j}_rms", v) for j, v in enumerate(block_rms)]
 
     if steps == 0:
         tokens, segments = next(iter(batches))
-        loss, stats = model.loss(tokens, segments, want_stats=True)
-        emit(0, loss.item(), stats)
-        return rows, False
-    optimizer = AdamState(model)
-    for i, batch in enumerate(batches):
-        if i >= steps:
-            break
-        row, stats, ok = train_step(model, batch, optimizer, schedule, i, want_stats=True)
-        if stats is not None:
-            emit(i + 1, row.loss, stats)
-        if not ok and not math.isfinite(row.loss):
-            return rows, True
-    return rows, False
+        loss = model.loss(tokens, segments).item()
+        return emit(0, loss, **model.last_stats), False
+    result = train(model, schedule, batches, steps, detect=False)
+    rows = [r for row in result.log
+            for r in emit(row.step, row.loss, row.pre_logit_rms, row.block_rms)]
+    return rows, result.status == "diverged"
 
 
 # -- grid search -----------------------------------------------------------

@@ -257,6 +257,10 @@ def test_train_rejects_bad_rows_per_batch(ws, tmp_path):
                 "--hyperparams", str(ws / "hp.json"),
                 "--data", str(ws / "packed.dlm"), "--steps", "2",
                 "--rows-per-batch", "0", "--out", str(tmp_path / "r")]) == 2
+    assert run(["coord-check", "--config", str(ws / "config.json"),
+                "--hyperparams", str(ws / "hp.json"), "--widths", "32",
+                "--steps", "1", "--data", str(ws / "packed.dlm"),
+                "--rows-per-batch", "0"]) == 2
 
 
 # -- grid search --------------------------------------------------------------------------

@@ -164,6 +164,10 @@ def test_domain_loss_requires_predictable_positions(eval_env):
     es = load_eval_set("one-token", ["a"], tok)
     with pytest.raises(ConfigError):
         domain_loss(model, tok, es)
+    es = load_eval_set("two-docs", ["first document", "second one"], tok)
+    for rows in (0, -1):
+        with pytest.raises(ConfigError, match="rows_per_batch"):
+            domain_loss(model, tok, es, rows_per_batch=rows)
 
 
 def test_load_eval_set_counts(eval_env):

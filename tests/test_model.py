@@ -255,15 +255,21 @@ def test_full_model_gradient_check():
 
 # -- stats hooks ---------------------------------------------------------------
 
-def test_want_stats_reports_rms_metrics():
+def test_forward_records_rms_metrics():
     model = build_small()
     toks = np.array([[1, 2, 3, 4, 5, 6, 7, 8]], dtype=np.int32)
     seg = np.array([[1, 1, 1, 1, 1, 1, 0, 0]], dtype=np.int32)
-    loss, stats = model.loss(toks, seg, want_stats=True)
+    model.loss(toks, seg)
+    stats = model.last_stats
     assert set(stats) == {"pre_logit_rms", "block_rms"}
     assert len(stats["block_rms"]) == 2
     assert all(math.isfinite(v) for v in stats["block_rms"])
     assert stats["pre_logit_rms"] > 0
+
+
+def test_build_rejects_mismatched_rope_theta():
+    with pytest.raises(ConfigError, match="10000.0 differs .* 500000.0"):
+        build_small(rope_theta=500_000.0)
 
 
 # -- checkpointing -------------------------------------------------------------

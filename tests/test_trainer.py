@@ -272,6 +272,9 @@ def test_batch_iterator_rejects_empty():
     tokens = np.zeros((0, 4), dtype=np.int32)
     with pytest.raises(ConfigError):
         next(batch_iterator((tokens, tokens), 2, 1, seed=0))
+    for rows in (0, -2):
+        with pytest.raises(ConfigError, match="rows_per_batch"):
+            next(batch_iterator(labeled_packed(), rows, 1, seed=0))
 
 
 # -- run log ---------------------------------------------------------------------------
@@ -411,5 +414,5 @@ def test_train_step_skips_nonfinite_gradients():
     model, schedule, packed, _ = tiny_setup()
     tokens, segments = packed
     opt = AdamState(model)
-    row, _, ok = train_step(model, (tokens[:2], segments[:2]), opt, schedule, 0)
+    row, ok = train_step(model, (tokens[:2], segments[:2]), opt, schedule, 0)
     assert ok and math.isfinite(row.grad_norm)
