@@ -80,15 +80,6 @@ def _docs_by_domain(docs):
     return groups
 
 
-def _pad_id(tok: tok_mod.TokenizerModel) -> int:
-    """Pad rows with the dedicated special if the tokenizer has one.
-
-    Falls back to id 0; padding positions are marked by segment id 0
-    everywhere downstream, so the token value itself is inert.
-    """
-    return tok.specials.get("<pad>", 0)
-
-
 def _run_dirs(out) -> dict:
     root = Path(out)
     dirs = {name: root / name for name in ("config", "logs", "checkpoints", "reports")}
@@ -110,6 +101,14 @@ def _derive_rows_per_batch(args, hp: HyperParams, config: ModelConfig) -> int:
             raise ConfigError("--rows-per-batch must be positive")
         return args.rows_per_batch
     return corpus_mod.sequences_per_step(hp.batch_tokens, config.context_length)
+
+
+def _build_run(config: ModelConfig, hp: HyperParams, rows_per_batch: int, seed: int):
+    """The model and schedule of one run; raises ConfigError before any file
+    of the run is written."""
+    model = Model.build(config, hp, RngState(seed))
+    schedule = trainer_mod.Schedule.for_rows(hp, rows_per_batch, config.context_length)
+    return model, schedule.validate()
 
 
 # -- tokenizer commands ------------------------------------------------------
@@ -205,7 +204,7 @@ def cmd_corpus_plan(args):
 def cmd_corpus_pack(args):
     tok = tok_mod.TokenizerModel.load(args.tokenizer)
     docs = corpus_mod.read_jsonl(args.corpus)
-    pad = args.pad_id if args.pad_id is not None else _pad_id(tok)
+    pad = args.pad_id if args.pad_id is not None else tok.pad_id
     token_docs = [tok.encode(d.text) for d in docs]
     tokens, segments = corpus_mod.pack(token_docs, args.context_length, pad)
     total_tokens = sum(len(t) for t in token_docs)
@@ -243,17 +242,13 @@ def cmd_train(args, argv):
             f"packed rows have context {tokens.shape[1]}, "
             f"model expects {config.context_length}")
     rows_per_batch = _derive_rows_per_batch(args, hp, config)
+    model, schedule = _build_run(config, hp, rows_per_batch, args.seed)
 
     dirs = _run_dirs(args.out)
     _snapshot_invocation(dirs, args, argv)
     _write_json(dirs["config"] / "model_config.json", config.to_dict())
     _write_json(dirs["config"] / "hyperparams.json", hyperparams_to_dict(hp))
 
-    model = Model.build(config, hp, RngState(args.seed))
-    # The schedule thinks in tokens; keep its step size equal to the tokens
-    # actually consumed per optimizer step so logged token counts are honest.
-    schedule = trainer_mod.Schedule.from_hyperparams(
-        hp, batch_tokens=rows_per_batch * config.context_length)
     if args.save_initial:
         model.save(dirs["checkpoints"] / "initial.ckpt", step=0)
     batches = trainer_mod.batch_iterator((tokens, segments), rows_per_batch,
@@ -309,6 +304,8 @@ def cmd_grid_search(args, argv):
     hp_list = [hyperparams_from_dict(d).validate() for d in grid_spec]
     tokens, segments, _ = corpus_mod.load_packed(args.data)
     rows_per_batch = _derive_rows_per_batch(args, hp_list[0], config)
+    for hp in hp_list:
+        _build_run(config, hp, rows_per_batch, args.seed)
 
     dirs = _run_dirs(args.out)
     _snapshot_invocation(dirs, args, argv)

@@ -29,38 +29,39 @@ LN2 = math.log(2.0)
 @dataclass
 class DomainEvalSet:
     name: str
-    documents: list            # raw text documents
+    token_docs: list           # one list of token ids per document
     byte_count: int
     token_count: int
 
 
 def load_eval_set(name: str, docs, tokenizer) -> DomainEvalSet:
-    """Build an eval set from text documents, recomputing both counts."""
+    """Build an eval set from text documents, tokenizing each once and
+    recomputing both counts."""
     texts = [d.text if hasattr(d, "text") else str(d) for d in docs]
     if not texts:
         raise ConfigError(f"eval set {name!r} has no documents")
     byte_count = sum(len(t.encode("utf-8")) for t in texts)
-    token_count = sum(len(tokenizer.encode(t)) for t in texts)
+    token_docs = [tokenizer.encode(t) for t in texts]
+    token_count = sum(len(d) for d in token_docs)
     if byte_count == 0 or token_count == 0:
         raise ConfigError(f"eval set {name!r} is empty after tokenization")
-    return DomainEvalSet(name=name, documents=texts,
+    return DomainEvalSet(name=name, token_docs=token_docs,
                          byte_count=byte_count, token_count=token_count)
 
 
 def domain_loss(model, tokenizer, eval_set: DomainEvalSet,
-                rows_per_batch: int = 8, pad_id: int = 0) -> float:
+                rows_per_batch: int = 8) -> float:
     """Mean next-token loss (nats) over an eval set.
 
     Documents are packed without cross-document attention, exactly like
-    training rows; the mean is over all predicted positions (document
-    boundaries inside a row included), so batching cannot change it.
+    training rows, padded with ``tokenizer.pad_id``; the mean is over all
+    predicted positions (document boundaries inside a row included), so
+    batching cannot change it.
     """
     if rows_per_batch <= 0:
         raise ConfigError(f"rows_per_batch must be positive, got {rows_per_batch}")
-    ctx = model.config.context_length
-    token_docs = [tokenizer.encode(t) for t in eval_set.documents]
-    token_docs = [d for d in token_docs if len(d) >= 1]
-    tokens, segments = corpus_mod.pack(token_docs, ctx, pad_id)
+    tokens, segments = corpus_mod.pack(eval_set.token_docs, model.config.context_length,
+                                       tokenizer.pad_id)
     total_nats = 0.0
     total_positions = 0
     for start in range(0, tokens.shape[0], rows_per_batch):

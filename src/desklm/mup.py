@@ -230,7 +230,7 @@ def coordinate_check(base_config, hp: HyperParams, widths, steps: int,
         if break_transfer:
             hp_w = replace(hp_w, matrix_lr=hp.matrix_lr)
         model = Model.build(cfg, hp_w, RngState(seed))
-        schedule = _trainer.Schedule.from_hyperparams(hp_w)
+        schedule = _trainer.Schedule.for_rows(hp_w, rows_per_batch, cfg.context_length)
         batches = _trainer.batch_iterator(packed, rows_per_batch, max(steps, 1), seed)
         stats_rows, was_diverged = _trainer.run_coord_steps(model, schedule, batches, steps)
         peak = 0.0

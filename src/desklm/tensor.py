@@ -9,7 +9,6 @@ gradient checks can be tight.
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from .errors import ShapeError
@@ -84,9 +83,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -119,10 +115,6 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, op={self._op})"
 
 
-def _needs_grad(*tensors) -> bool:
-    return any(t.requires_grad for t in tensors)
-
-
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
     """Sum a gradient down to ``shape`` (inverse of numpy broadcasting)."""
     if g.shape == tuple(shape):
@@ -137,60 +129,53 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _make(data, parents, op, backward_fn):
-    out = Tensor(data, requires_grad=_needs_grad(*parents), _parents=parents, _op=op)
+    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents),
+                 _parents=parents, _op=op)
     if out.requires_grad:
-        out._backward_fn = backward_fn(out)
+        out._backward_fn = backward_fn
     return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
 
-    def bw(out):
-        def fn(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
-        return fn
+    def fn(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
 
-    return _make(data, (a, b), "add", bw)
+    return _make(data, (a, b), "add", fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
-    def bw(out):
-        def fn(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape))
-        return fn
+    def fn(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
 
-    return _make(data, (a, b), "mul", bw)
+    return _make(data, (a, b), "mul", fn)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
 
-    def bw(out):
-        def fn(g):
-            a._accumulate(g * s)
-        return fn
+    def fn(g):
+        a._accumulate(g * s)
 
-    return _make(a.data * s, (a,), "scale", bw)
+    return _make(a.data * s, (a,), "scale", fn)
 
 
 def add_const(a: Tensor, arr) -> Tensor:
     """Add a constant array (no gradient flows into ``arr``)."""
 
-    def bw(out):
-        def fn(g):
-            a._accumulate(_unbroadcast(g, a.shape))
-        return fn
+    def fn(g):
+        a._accumulate(_unbroadcast(g, a.shape))
 
-    return _make(a.data + np.asarray(arr, dtype=np.float64), (a,), "add_const", bw)
+    return _make(a.data + np.asarray(arr, dtype=np.float64), (a,), "add_const", fn)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -201,15 +186,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
     data = a.data @ b.data
 
-    def bw(out):
-        def fn(g):
-            if a.requires_grad:
-                a._accumulate(g @ b.data.T)
-            if b.requires_grad:
-                b._accumulate(a.data.T @ g)
-        return fn
+    def fn(g):
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
 
-    return _make(data, (a, b), "matmul", bw)
+    return _make(data, (a, b), "matmul", fn)
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -220,36 +203,30 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"bmm shapes incompatible: {a.shape} @ {b.shape}")
     data = np.matmul(a.data, b.data)
 
-    def bw(out):
-        def fn(g):
-            if a.requires_grad:
-                a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
-            if b.requires_grad:
-                b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
-        return fn
+    def fn(g):
+        if a.requires_grad:
+            a._accumulate(np.matmul(g, np.swapaxes(b.data, -1, -2)))
+        if b.requires_grad:
+            b._accumulate(np.matmul(np.swapaxes(a.data, -1, -2), g))
 
-    return _make(data, (a, b), "bmm", bw)
+    return _make(data, (a, b), "bmm", fn)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    def bw(out):
-        def fn(g):
-            a._accumulate(g.reshape(a.shape))
-        return fn
+    def fn(g):
+        a._accumulate(g.reshape(a.shape))
 
-    return _make(a.data.reshape(shape), (a,), "reshape", bw)
+    return _make(a.data.reshape(shape), (a,), "reshape", fn)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
     inv = tuple(np.argsort(axes))
 
-    def bw(out):
-        def fn(g):
-            a._accumulate(g.transpose(inv))
-        return fn
+    def fn(g):
+        a._accumulate(g.transpose(inv))
 
-    return _make(a.data.transpose(axes), (a,), "transpose", bw)
+    return _make(a.data.transpose(axes), (a,), "transpose", fn)
 
 
 def embedding(weight: Tensor, ids) -> Tensor:
@@ -259,14 +236,12 @@ def embedding(weight: Tensor, ids) -> Tensor:
         raise ValueError("embedding id out of range")
     data = weight.data[ids]
 
-    def bw(out):
-        def fn(g):
-            if weight.grad is None:
-                weight.grad = np.zeros_like(weight.data)
-            np.add.at(weight.grad, ids.reshape(-1), g.reshape(-1, weight.shape[1]))
-        return fn
+    def fn(g):
+        if weight.grad is None:
+            weight.grad = np.zeros_like(weight.data)
+        np.add.at(weight.grad, ids.reshape(-1), g.reshape(-1, weight.shape[1]))
 
-    return _make(data, (weight,), "embedding", bw)
+    return _make(data, (weight,), "embedding", fn)
 
 
 def swish(a: Tensor) -> Tensor:
@@ -277,12 +252,10 @@ def swish(a: Tensor) -> Tensor:
         sig = 1.0 / (1.0 + np.exp(-a.data))
     data = a.data * sig
 
-    def bw(out):
-        def fn(g):
-            a._accumulate(g * (sig * (1.0 + a.data * (1.0 - sig))))
-        return fn
+    def fn(g):
+        a._accumulate(g * (sig * (1.0 + a.data * (1.0 - sig))))
 
-    return _make(data, (a,), "swish", bw)
+    return _make(data, (a,), "swish", fn)
 
 
 def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
@@ -297,17 +270,15 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     xn = x.data / s
     data = xn * gain.data
 
-    def bw(out):
-        def fn(g):
-            if x.requires_grad:
-                gg = g * gain.data
-                dot = np.sum(gg * x.data, axis=-1, keepdims=True)
-                x._accumulate(gg / s - x.data * (dot / (d * s ** 3)))
-            if gain.requires_grad:
-                gain._accumulate(np.sum(g * xn, axis=tuple(range(g.ndim - 1))))
-        return fn
+    def fn(g):
+        if x.requires_grad:
+            gg = g * gain.data
+            dot = np.sum(gg * x.data, axis=-1, keepdims=True)
+            x._accumulate(gg / s - x.data * (dot / (d * s ** 3)))
+        if gain.requires_grad:
+            gain._accumulate(np.sum(g * xn, axis=tuple(range(g.ndim - 1))))
 
-    return _make(data, (x, gain), "rms_norm", bw)
+    return _make(data, (x, gain), "rms_norm", fn)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -321,21 +292,19 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xn = (x.data - mu) / s
     data = xn * gain.data + bias.data
 
-    def bw(out):
-        def fn(g):
-            if x.requires_grad:
-                gg = g * gain.data
-                m1 = np.mean(gg, axis=-1, keepdims=True)
-                m2 = np.mean(gg * xn, axis=-1, keepdims=True)
-                x._accumulate((gg - m1 - xn * m2) / s)
-            red = tuple(range(g.ndim - 1))
-            if gain.requires_grad:
-                gain._accumulate(np.sum(g * xn, axis=red))
-            if bias.requires_grad:
-                bias._accumulate(np.sum(g, axis=red))
-        return fn
+    def fn(g):
+        if x.requires_grad:
+            gg = g * gain.data
+            m1 = np.mean(gg, axis=-1, keepdims=True)
+            m2 = np.mean(gg * xn, axis=-1, keepdims=True)
+            x._accumulate((gg - m1 - xn * m2) / s)
+        red = tuple(range(g.ndim - 1))
+        if gain.requires_grad:
+            gain._accumulate(np.sum(g * xn, axis=red))
+        if bias.requires_grad:
+            bias._accumulate(np.sum(g, axis=red))
 
-    return _make(data, (x, gain, bias), "layer_norm", bw)
+    return _make(data, (x, gain, bias), "layer_norm", fn)
 
 
 def _rope_angles(positions, d_head: int, theta: float):
@@ -361,16 +330,14 @@ def rope_rotate(x: Tensor, positions, theta: float = 10000.0) -> Tensor:
     data[..., 0::2] = xe * cos - xo * sin
     data[..., 1::2] = xe * sin + xo * cos
 
-    def bw(out):
-        def fn(g):
-            ge, go = g[..., 0::2], g[..., 1::2]
-            gx = np.empty_like(g)
-            gx[..., 0::2] = ge * cos + go * sin
-            gx[..., 1::2] = -ge * sin + go * cos
-            x._accumulate(gx)
-        return fn
+    def fn(g):
+        ge, go = g[..., 0::2], g[..., 1::2]
+        gx = np.empty_like(g)
+        gx[..., 0::2] = ge * cos + go * sin
+        gx[..., 1::2] = -ge * sin + go * cos
+        x._accumulate(gx)
 
-    return _make(data, (x,), "rope", bw)
+    return _make(data, (x,), "rope", fn)
 
 
 def softmax_last(a: Tensor) -> Tensor:
@@ -379,13 +346,11 @@ def softmax_last(a: Tensor) -> Tensor:
     e = np.exp(z)
     p = e / np.sum(e, axis=-1, keepdims=True)
 
-    def bw(out):
-        def fn(g):
-            dot = np.sum(g * p, axis=-1, keepdims=True)
-            a._accumulate(p * (g - dot))
-        return fn
+    def fn(g):
+        dot = np.sum(g * p, axis=-1, keepdims=True)
+        a._accumulate(p * (g - dot))
 
-    return _make(p, (a,), "softmax", bw)
+    return _make(p, (a,), "softmax", fn)
 
 
 def softmax_cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
@@ -419,15 +384,13 @@ def softmax_cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     picked = logits.data[np.arange(n), targets]
     data = np.sum(w * (lse - picked)) / total
 
-    def bw(out):
-        def fn(g):
-            p = np.exp(z)
-            p /= p.sum(axis=-1, keepdims=True)
-            p[np.arange(n), targets] -= 1.0
-            logits._accumulate(p * (g * w / total)[:, None])
-        return fn
+    def fn(g):
+        p = np.exp(z)
+        p /= p.sum(axis=-1, keepdims=True)
+        p[np.arange(n), targets] -= 1.0
+        logits._accumulate(p * (g * w / total)[:, None])
 
-    return _make(data, (logits,), "cross_entropy", bw)
+    return _make(data, (logits,), "cross_entropy", fn)
 
 
 def swiglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
@@ -445,20 +408,16 @@ def swiglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tenso
 
 
 def sum_all(a: Tensor) -> Tensor:
-    def bw(out):
-        def fn(g):
-            a._accumulate(np.broadcast_to(g, a.shape).copy() if a.shape else g)
-        return fn
+    def fn(g):
+        a._accumulate(np.broadcast_to(g, a.shape).copy() if a.shape else g)
 
-    return _make(a.data.sum(), (a,), "sum", bw)
+    return _make(a.data.sum(), (a,), "sum", fn)
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
 
-    def bw(out):
-        def fn(g):
-            a._accumulate(np.full(a.shape, float(g) / n))
-        return fn
+    def fn(g):
+        a._accumulate(np.full(a.shape, float(g) / n))
 
-    return _make(a.data.mean(), (a,), "mean", bw)
+    return _make(a.data.mean(), (a,), "mean", fn)

@@ -78,6 +78,12 @@ class TokenizerModel:
     def vocab_size(self) -> int:
         return len(self.vocab)
 
+    @property
+    def pad_id(self) -> int:
+        """The ``<pad>`` special if there is one, else 0.  Padding positions
+        carry segment id 0 everywhere downstream, so the value is inert."""
+        return self.specials.get("<pad>", 0)
+
     # -- encode / decode ---------------------------------------------------
 
     def _bpe(self, bs: bytes) -> list[int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, asdict, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -48,7 +48,8 @@ class Schedule:
 
     @classmethod
     def from_hyperparams(cls, hp: HyperParams, **overrides) -> "Schedule":
-        sched = cls(
+        """Overrides name Schedule fields; an unknown name raises TypeError."""
+        return replace(cls(
             vector_peak_lr=hp.vector_lr,
             matrix_peak_lr=hp.matrix_lr,
             min_lr=hp.min_lr,
@@ -57,10 +58,16 @@ class Schedule:
             batch_tokens=hp.batch_tokens,
             clip_norm=hp.clip_grad,
             weight_decay=hp.weight_decay,
-        )
-        for k, v in overrides.items():
-            setattr(sched, k, v)
-        return sched
+        ), **overrides)
+
+    @classmethod
+    def for_rows(cls, hp: HyperParams, rows_per_batch: int,
+                 context_length: int) -> "Schedule":
+        """The schedule of a run training ``rows_per_batch`` rows of
+        ``context_length`` tokens a step.  It steps by the tokens actually
+        trained, so logged token counts are honest; ``desklm train``,
+        ``run_grid`` and ``coordinate_check`` all use it."""
+        return cls.from_hyperparams(hp, batch_tokens=rows_per_batch * context_length)
 
     def _warmup_tokens(self) -> int:
         if self.warmup_tokens is not None:
@@ -367,7 +374,8 @@ def run_coord_steps(model: Model, schedule: Schedule, batches, steps: int):
     Returns (rows, diverged) where rows are (step, metric, value) with
     metrics ``loss``, ``pre_logit_rms`` and ``block{i}_rms``; one run can
     therefore feed both a loss-curve comparison and a coordinate check.
-    steps=0 records a single initialization-only forward pass.
+    steps=0 records a single initialization-only forward pass, diverged
+    if its loss is not finite.
     """
     def emit(step, loss, pre_logit_rms, block_rms):
         return [(step, "loss", loss), (step, "pre_logit_rms", pre_logit_rms)] + [
@@ -376,7 +384,7 @@ def run_coord_steps(model: Model, schedule: Schedule, batches, steps: int):
     if steps == 0:
         tokens, segments = next(iter(batches))
         loss = model.loss(tokens, segments).item()
-        return emit(0, loss, **model.last_stats), False
+        return emit(0, loss, **model.last_stats), not math.isfinite(loss)
     result = train(model, schedule, batches, steps, detect=False)
     rows = [r for row in result.log
             for r in emit(row.step, row.loss, row.pre_logit_rms, row.block_rms)]
@@ -448,7 +456,7 @@ def run_grid(base_config, hp_list, packed, steps: int, seed: int,
     for idx, hp in enumerate(hp_list):
         hp.validate()
         model = Model.build(base_config, hp, RngState(seed))
-        schedule = Schedule.from_hyperparams(hp)
+        schedule = Schedule.for_rows(hp, rows_per_batch, base_config.context_length)
         batches = batch_iterator(packed, rows_per_batch, steps, seed)
         result = train(model, schedule, batches, steps, stop_on_abort=False)
         score, final, nonmono, gpen = score_run(result.log, result.status, weights)

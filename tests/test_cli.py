@@ -263,6 +263,45 @@ def test_train_rejects_bad_rows_per_batch(ws, tmp_path):
                 "--rows-per-batch", "0"]) == 2
 
 
+def rejected_inputs(ws, tmp_path):
+    """(hyperparameter file, extra argv) pairs that validation must reject:
+    a rope_theta that differs from the model config's, and a warmup that
+    outlasts the schedule once 64 rows of 16 tokens make up a step."""
+    theta = hyperparams_to_dict(toy_hyperparams(steps=50, batch_tokens=64,
+                                                warmup_steps=4))
+    theta["rope_theta"] = 500.0
+    path = tmp_path / "hp_theta.json"
+    path.write_text(json.dumps(theta))
+    return [(path, []), (ws / "hp.json", ["--rows-per-batch", "64"])]
+
+
+def test_train_rejected_inputs_leave_no_run_directory(ws, tmp_path):
+    for i, (hp_path, extra) in enumerate(rejected_inputs(ws, tmp_path)):
+        out = tmp_path / f"r{i}"
+        assert run(["train", "--config", str(ws / "config.json"),
+                    "--hyperparams", str(hp_path), "--data", str(ws / "packed.dlm"),
+                    "--steps", "2", "--out", str(out)] + extra) == 2
+        assert not out.exists()
+
+
+def test_train_and_grid_search_log_the_same_run(ws, tmp_path):
+    hp = toy_hyperparams(steps=6, batch_tokens=64, warmup_steps=2)
+    hp_path = tmp_path / "hp.json"
+    hp_path.write_text(json.dumps(hyperparams_to_dict(hp)))
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps([hyperparams_to_dict(hp)]))
+    common = ["--config", str(ws / "config.json"), "--data", str(ws / "packed.dlm"),
+              "--steps", "6", "--seed", "3", "--rows-per-batch", "2"]
+    assert run(["train", "--hyperparams", str(hp_path),
+                "--out", str(tmp_path / "t")] + common) == 0
+    assert run(["grid-search", "--grid", str(grid_path),
+                "--out", str(tmp_path / "g")] + common) == 0
+    a = trainer_mod.read_runlog(tmp_path / "t" / "logs" / "run_log.csv")
+    b = trainer_mod.read_runlog(tmp_path / "g" / "logs" / "grid000.csv")
+    assert [r.tokens for r in a] == [32 * (i + 1) for i in range(6)]
+    assert [(r.loss, r.tokens) for r in a] == [(r.loss, r.tokens) for r in b]
+
+
 # -- grid search --------------------------------------------------------------------------
 
 def test_grid_search_ranks_and_persists(ws, tmp_path, capsys):
@@ -307,6 +346,19 @@ def test_grid_search_rejects_empty_grid(ws, tmp_path):
     assert run(["grid-search", "--config", str(ws / "config.json"),
                 "--grid", str(grid_path), "--data", str(ws / "packed.dlm"),
                 "--steps", "2", "--out", str(tmp_path / "g")]) == 2
+
+
+def test_grid_search_rejected_candidate_leaves_no_run_directory(ws, tmp_path):
+    good = hyperparams_to_dict(toy_hyperparams(steps=500, batch_tokens=64,
+                                               warmup_steps=4))
+    for i, (hp_path, extra) in enumerate(rejected_inputs(ws, tmp_path)):
+        grid_path = tmp_path / f"grid{i}.json"
+        grid_path.write_text(json.dumps([good, json.loads(hp_path.read_text())]))
+        out = tmp_path / f"g{i}"
+        assert run(["grid-search", "--config", str(ws / "config.json"),
+                    "--grid", str(grid_path), "--data", str(ws / "packed.dlm"),
+                    "--steps", "2", "--out", str(out)] + extra) == 2
+        assert not out.exists()
 
 
 # -- coordinate check -----------------------------------------------------------------------

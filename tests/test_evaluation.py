@@ -142,7 +142,7 @@ def test_domain_loss_single_doc_equals_model_loss(eval_env):
     es = load_eval_set("solo", [text], tok)
     tokens, segments = pack([tok.encode(text)], 16, pad_id=tok.specials["<pad>"])
     direct = model.loss(tokens, segments).item()
-    assert domain_loss(model, tok, es, pad_id=tok.specials["<pad>"]) == pytest.approx(
+    assert domain_loss(model, tok, es) == pytest.approx(
         direct, rel=1e-15)
 
 

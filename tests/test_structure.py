@@ -28,3 +28,25 @@ def function_level_imports():
 
 def test_no_function_level_imports():
     assert function_level_imports() == []
+
+
+def deeply_nested_functions(max_depth=2):
+    """Functions defined inside a function that is itself nested."""
+    found = []
+
+    def visit(node, depth, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if depth + 1 > max_depth:
+                    found.append(f"{path.name}:{child.lineno} {child.name}")
+                visit(child, depth + 1, path)
+            else:
+                visit(child, depth, path)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), 0, path)
+    return found
+
+
+def test_functions_nest_at_most_two_deep():
+    assert deeply_nested_functions() == []

@@ -102,6 +102,8 @@ def test_schedule_validation():
         Schedule.from_hyperparams(toy_hyperparams(), matrix_peak_lr=-1.0).validate()
     Schedule.from_hyperparams(toy_hyperparams(), vector_peak_lr=0.0,
                               matrix_peak_lr=0.0, min_lr=0.0).validate()
+    with pytest.raises(TypeError):
+        Schedule.from_hyperparams(toy_hyperparams(), warmup_token=5)
 
 
 # -- gradient clipping --------------------------------------------------------------
@@ -240,6 +242,15 @@ def test_run_coord_steps_zero_steps_snapshots_init():
         model, schedule, batch_iterator(packed, 2, 1, seed=1), steps=0)
     assert not diverged
     assert {s for s, _, _ in rows} == {0}
+
+
+def test_run_coord_steps_zero_steps_reports_nonfinite_loss():
+    model, schedule, packed, _ = tiny_setup(output_mult=1e308)
+    with np.errstate(over="ignore"):    # the logits overflow on purpose
+        rows, diverged = run_coord_steps(
+            model, schedule, batch_iterator(packed, 2, 1, seed=1), steps=0)
+    assert diverged
+    assert [v for _, m, v in rows if m == "loss"] == [math.inf]
 
 
 # -- batch iterator -------------------------------------------------------------------
