@@ -303,7 +303,13 @@ def cmd_grid_search(args, argv):
         raise ConfigError("--grid must be a non-empty JSON list of hyperparameter objects")
     hp_list = [hyperparams_from_dict(d).validate() for d in grid_spec]
     tokens, segments, _ = corpus_mod.load_packed(args.data)
-    rows_per_batch = _derive_rows_per_batch(args, hp_list[0], config)
+    rows = [_derive_rows_per_batch(args, hp, config) for hp in hp_list]
+    if len(set(rows)) > 1:
+        listing = ", ".join(f"candidate {i}: batch_size_tokens {hp.batch_tokens} -> {r} rows"
+                            for i, (hp, r) in enumerate(zip(hp_list, rows)))
+        raise ConfigError(f"grid candidates train different rows per batch ({listing}); "
+                          "give them one batch_size_tokens or pass --rows-per-batch")
+    rows_per_batch = rows[0]
     for hp in hp_list:
         _build_run(config, hp, rows_per_batch, args.seed)
 

@@ -225,9 +225,7 @@ class Model:
             q = T.rope_rotate(T.transpose(q, (0, 2, 1, 3)), positions, cfg.rope_theta)
             k = T.rope_rotate(T.transpose(k, (0, 2, 1, 3)), positions, cfg.rope_theta)
             v = T.transpose(v, (0, 2, 1, 3))
-            scores = T.add_const(T.scale(T.bmm(q, T.transpose(k, (0, 1, 3, 2))), scale), bias)
-            probs = T.softmax_last(scores)
-            ctx = T.transpose(T.bmm(probs, v), (0, 2, 1, 3))
+            ctx = T.transpose(T.causal_attention(q, k, v, bias, scale), (0, 2, 1, 3))
             ctx = T.matmul(T.reshape(ctx, (b * t, d)), self.params[f"{pre}.attn.wo"])
             h = T.add(h, T.reshape(ctx, (b, t, d)))
             x = T.rms_norm(h, self.params[f"{pre}.ffn_norm.gain"], cfg.norm_eps)

@@ -353,6 +353,44 @@ def softmax_last(a: Tensor) -> Tensor:
     return _make(p, (a,), "softmax", fn)
 
 
+def causal_attention(q: Tensor, k: Tensor, v: Tensor, bias, scale: float) -> Tensor:
+    """softmax(q @ k^T * scale + bias) @ v over [B, H, T, hd] operands, as one
+    tape node.
+
+    ``bias`` is a constant broadcastable to [B, H, T, T]; its -inf entries get
+    exactly zero weight and are never exponentiated.  The scale is folded
+    into q, which is exact (so the result is bit-identical to the chain of
+    primitive ops) when it is a power of two.  The probabilities P are kept
+    for the backward pass: dS = P * (dP - rowsum(dP * P)) with dP = g @ v^T.
+    """
+    if q.data.ndim != 4 or k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
+        raise ShapeError(f"causal_attention expects [B, H, T, hd] operands, "
+                         f"got q {q.shape}, k {k.shape}, v {v.shape}")
+    bias = np.asarray(bias, dtype=np.float64)
+    scale = float(scale)
+    qs = q.data * scale
+    s = np.matmul(qs, np.swapaxes(k.data, -1, -2))
+    s += bias
+    s -= np.max(s, axis=-1, keepdims=True)
+    p = np.zeros_like(s)
+    np.exp(s, out=p, where=bias != -np.inf)
+    p /= np.sum(p, axis=-1, keepdims=True)
+    data = np.matmul(p, v.data)
+
+    def fn(g):
+        if v.requires_grad:
+            v._accumulate(np.matmul(np.swapaxes(p, -1, -2), g))
+        ds = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        ds -= np.sum(ds * p, axis=-1, keepdims=True)
+        ds *= p
+        if q.requires_grad:
+            q._accumulate(np.matmul(ds, k.data) * scale)
+        if k.requires_grad:
+            k._accumulate(np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), ds), -1, -2))
+
+    return _make(data, (q, k, v), "causal_attention", fn)
+
+
 def softmax_cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
     """Mean negative log-likelihood in nats over (optionally masked) rows.
 

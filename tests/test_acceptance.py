@@ -22,7 +22,7 @@ from desklm import tensor as T
 from desklm.corpus import (Document, dedup, estimate_jaccard, pack,
                            sequences_per_step, signature_from_hashes)
 from desklm.evaluation import direct_average, weighted_sum
-from desklm.model import Model, ModelConfig, count_params
+from desklm.model import Model, ModelConfig, attention_bias, count_params
 from desklm.mup import (HyperParams, ParamClass, WidthPair,
                         coordinate_check, transfer)
 from desklm.presets import (config_52b, config_mup_512, hyperparams_52b,
@@ -186,6 +186,8 @@ _IDS = np.array([[0, 3, 3], [6, 0, 1]])
 _POS = np.arange(5)
 _CE_TARGETS = np.array([0, 3, 6, 1, 1])
 _CE_MASK = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+# Two segments in each row, and a pad position that attends only to itself.
+_ATTN_BIAS = attention_bias(np.array([[1, 1, 2, 2, 0], [1, 2, 2, 2, 2]]))
 
 OP_CASES = [
     ("add", [(4, 5), (4, 5)], lambda a, b: T.add(a, b)),
@@ -202,6 +204,8 @@ OP_CASES = [
     ("layer_norm", [(4, 6), (6,), (6,)], lambda x, g, b: T.layer_norm(x, g, b)),
     ("rope_rotate", [(2, 2, 5, 8)], lambda x: T.rope_rotate(x, _POS)),
     ("softmax_last", [(3, 6)], lambda a: T.softmax_last(a)),
+    ("causal_attention", [(2, 2, 5, 4)] * 3,
+     lambda q, k, v: T.causal_attention(q, k, v, _ATTN_BIAS, 0.25)),
     ("cross_entropy", [(5, 7)], lambda lg: T.softmax_cross_entropy(lg, _CE_TARGETS)),
     ("cross_entropy_masked", [(5, 7)],
      lambda lg: T.softmax_cross_entropy(lg, _CE_TARGETS, _CE_MASK)),

@@ -361,6 +361,31 @@ def test_grid_search_rejected_candidate_leaves_no_run_directory(ws, tmp_path):
         assert not out.exists()
 
 
+def test_grid_search_rejects_candidates_with_different_batch_tokens(ws, tmp_path, capsys):
+    small, large = (hyperparams_to_dict(toy_hyperparams(steps=6, batch_tokens=n, warmup_steps=2))
+                    for n in (64, 128))
+    common = ["--config", str(ws / "config.json"), "--data", str(ws / "packed.dlm"),
+              "--steps", "3"]
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps([small, large]))
+    out = tmp_path / "g"
+    assert run(["grid-search", "--grid", str(grid_path), "--out", str(out)] + common) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "candidate 0: batch_size_tokens 64 -> 4 rows" in err
+    assert "candidate 1: batch_size_tokens 128 -> 8 rows" in err
+    # --rows-per-batch settles the step size for every candidate
+    assert run(["grid-search", "--grid", str(grid_path), "--out", str(out),
+                "--rows-per-batch", "2"] + common) == 0
+    # an equal-batch grid still derives its rows from batch_size_tokens
+    grid_path.write_text(json.dumps([large, dict(large, matrix_learning_rate=1e-3)]))
+    out = tmp_path / "g2"
+    assert run(["grid-search", "--grid", str(grid_path), "--out", str(out)] + common) == 0
+    for i in range(2):
+        log = trainer_mod.read_runlog(out / "logs" / f"grid00{i}.csv")
+        assert [r.tokens for r in log] == [128, 256, 384]
+
+
 # -- coordinate check -----------------------------------------------------------------------
 
 def coord_config(ws, tmp_path):

@@ -50,3 +50,26 @@ def deeply_nested_functions(max_depth=2):
 
 def test_functions_nest_at_most_two_deep():
     assert deeply_nested_functions() == []
+
+
+def tape_ops():
+    """Names of the tensor.py functions that record a tape node."""
+    tree = ast.parse((SRC / "tensor.py").read_text())
+    return {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+            and any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_make"
+                    for n in ast.walk(fn))}
+
+
+def fd_checked_ops():
+    """Names of the ``T.<op>`` calls inside the acceptance OP_CASES lambdas."""
+    path = SRC.parents[1] / "tests" / "test_acceptance.py"
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "OP_CASES":
+            return {n.attr for case in node.value.elts for n in ast.walk(case.elts[2])
+                    if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "T"}
+    raise AssertionError("tests/test_acceptance.py has no OP_CASES list")
+
+
+def test_every_tape_op_is_finite_difference_checked():
+    assert "causal_attention" in tape_ops()
+    assert sorted(tape_ops() - fd_checked_ops()) == []

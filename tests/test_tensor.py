@@ -6,6 +6,7 @@ import pytest
 
 from desklm import tensor as T
 from desklm.errors import ShapeError
+from desklm.model import attention_bias
 from oracles import (cross_entropy_mpmath, finite_diff_grad, rel_error,
                      truncated_normal_sd)
 
@@ -155,6 +156,52 @@ def test_rope_grad(rng):
     x = _rand(rng, 2, 2, 5, 8)          # (B, heads, T, head_dim)
     pos = np.arange(5)
     check_grads(lambda: weighted(T.rope_rotate(x, pos), np.random.default_rng(1)), x)
+
+
+# Two segments in row 0 and a pad tail in row 1, which attends only to itself.
+_SEGMENTS = np.array([[1, 1, 1, 2, 2, 2, 2], [1, 1, 1, 1, 1, 0, 0]])
+
+
+def test_causal_attention_grad(rng):
+    q, k, v = (_rand(rng, 2, 3, 7, 4) for _ in range(3))
+    bias = attention_bias(_SEGMENTS)
+    check_grads(lambda: weighted(T.causal_attention(q, k, v, bias, 0.5),
+                                 np.random.default_rng(1)), q, k, v)
+
+
+def _attention_chain(q, k, v, bias, s):
+    """The primitive composition causal_attention replaces; its oracle."""
+    scores = T.add_const(T.scale(T.bmm(q, T.transpose(k, (0, 1, 3, 2))), s), bias)
+    return T.bmm(T.softmax_last(scores), v)
+
+
+@pytest.mark.parametrize("s,rtol", [(1 / 16, 0.0), (1 / 4, 0.0),
+                                    (1 / math.sqrt(8), 1e-12), (1 / 12, 1e-12)],
+                         ids=["inv16", "inv4", "inv_sqrt8", "inv12"])
+def test_causal_attention_matches_primitive_chain(s, rtol):
+    """Bit-identical where folding the scale into q is exact (a power of
+    two, as for every head_dim-16 config), within 1e-12 otherwise."""
+    bias = attention_bias(_SEGMENTS)
+    results = []
+    for op in (T.causal_attention, _attention_chain):
+        rng = np.random.default_rng(3)
+        q, k, v = (_rand(rng, 2, 3, 7, 16, scale=2.0) for _ in range(3))
+        out = op(q, k, v, bias, s)
+        weighted(out, np.random.default_rng(4)).backward()
+        results.append([out.data, q.grad, k.grad, v.grad])
+    for got, want in zip(*results):
+        if rtol == 0.0:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert rel_error(got, want) < rtol
+
+
+def test_causal_attention_rejects_bad_shapes(rng):
+    q, k = _rand(rng, 2, 3, 7, 4), _rand(rng, 2, 3, 7, 4)
+    with pytest.raises(ShapeError):
+        T.causal_attention(q, _rand(rng, 2, 3, 6, 4), k, np.zeros((1, 1, 7, 7)), 1.0)
+    with pytest.raises(ValueError):     # numpy's broadcasting check
+        T.causal_attention(q, k, k, np.zeros((2, 2, 7, 7)), 1.0)
 
 
 def test_rope_anchor_single_pair():
