@@ -489,9 +489,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--save-initial", action="store_true",
                     help="checkpoint the untrained model as initial.ckpt")
     sp.add_argument("--no-spike-detection", action="store_true")
-    sp.add_argument("--recovery-window", type=int, default=20)
-    sp.add_argument("--mad-mult", type=float, default=4.0)
-    sp.add_argument("--detector-window", type=int, default=100)
+    sp.add_argument("--recovery-window", type=int, default=trainer_mod.RECOVERY_WINDOW)
+    sp.add_argument("--mad-mult", type=float, default=trainer_mod.MAD_MULT)
+    sp.add_argument("--detector-window", type=int, default=trainer_mod.DETECTOR_WINDOW)
     sp.add_argument("--keep-going", action="store_true",
                     help="log sustained spikes but do not stop")
 

@@ -18,10 +18,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import corpus as corpus_mod
 from .errors import ConfigError
+from .model import predicted_positions
 
 LN2 = math.log(2.0)
 
@@ -67,9 +66,7 @@ def domain_loss(model, tokenizer, eval_set: DomainEvalSet,
     for start in range(0, tokens.shape[0], rows_per_batch):
         tb = tokens[start:start + rows_per_batch]
         sb = segments[start:start + rows_per_batch]
-        mask = np.zeros(tb.shape, dtype=np.float64)
-        mask[:, :-1] = (sb[:, :-1] != 0) & (sb[:, 1:] != 0)
-        n = mask.sum()
+        n = predicted_positions(sb).sum()
         if n == 0:
             continue
         loss = model.loss(tb, sb)

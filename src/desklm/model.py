@@ -115,6 +115,17 @@ def attention_bias(segments: np.ndarray) -> np.ndarray:
     return bias[:, None, :, :]
 
 
+def predicted_positions(segments: np.ndarray) -> np.ndarray:
+    """[B, T] float 0/1 mask of the positions the loss counts.
+
+    Position t predicts token t+1 and is counted when both are non-pad;
+    the last position has no target.
+    """
+    mask = np.zeros(segments.shape, dtype=np.float64)
+    mask[:, :-1] = (segments[:, :-1] != 0) & (segments[:, 1:] != 0)
+    return mask
+
+
 class Model:
     """The transformer plus its parameter table.
 
@@ -252,15 +263,11 @@ class Model:
         b, t = tokens.shape
         if t < 2:
             raise ConfigError("need at least 2 tokens per row to form a target")
-        if segments is None:
-            seg = np.ones((b, t), dtype=np.int32)
-        else:
-            seg = np.asarray(segments)
+        seg = np.ones((b, t), dtype=np.int32) if segments is None else np.asarray(segments)
         logits = self.forward(tokens, segments)
         targets = np.zeros_like(tokens)
         targets[:, :-1] = tokens[:, 1:]
-        mask = np.zeros((b, t), dtype=np.float64)
-        mask[:, :-1] = (seg[:, :-1] != 0) & (seg[:, 1:] != 0)
+        mask = predicted_positions(seg)
         return T.softmax_cross_entropy(
             T.reshape(logits, (b * t, self.config.vocab_size)),
             targets.reshape(-1), mask.reshape(-1))

@@ -39,7 +39,7 @@ _MATRIX_SUFFIXES = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
 _VECTOR_SUFFIXES = ("embedding", "lm_head", "gain", "bias")
 
 
-def classify(param_role: str, shape, config=None) -> ParamClass:
+def classify(param_role: str) -> ParamClass:
     """Map a parameter role name to its width-scaling class.
 
     Unknown roles raise ClassificationError rather than guessing.

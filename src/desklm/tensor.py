@@ -85,8 +85,10 @@ class Tensor:
 
     def _accumulate(self, g: np.ndarray):
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # A copy: ops hand the same array to two parents, or a view.
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
     def backward(self):
         """Backpropagate from this scalar through the recorded tape."""
@@ -447,7 +449,7 @@ def swiglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tenso
 
 def sum_all(a: Tensor) -> Tensor:
     def fn(g):
-        a._accumulate(np.broadcast_to(g, a.shape).copy() if a.shape else g)
+        a._accumulate(np.broadcast_to(g, a.shape))
 
     return _make(a.data.sum(), (a,), "sum", fn)
 

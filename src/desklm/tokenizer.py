@@ -96,16 +96,7 @@ class TokenizerModel:
                     best_rank, best_pair = r, pair
             if best_pair is None:
                 break
-            new_id = 256 + len(self.specials) + best_rank
-            out, i = [], 0
-            while i < len(ids):
-                if i + 1 < len(ids) and ids[i] == best_pair[0] and ids[i + 1] == best_pair[1]:
-                    out.append(new_id)
-                    i += 2
-                else:
-                    out.append(ids[i])
-                    i += 1
-            ids = out
+            ids = _merge_word(ids, best_pair, 256 + len(self.specials) + best_rank)
         return ids
 
     def encode(self, text) -> list[int]:
@@ -189,7 +180,9 @@ def _initial_words(corpus, word_split: bool) -> Counter:
     return Counter({tuple(k): v for k, v in counts.items()})
 
 
-def _merge_word(syms: tuple, pair: tuple, new_id: int) -> tuple:
+def _merge_word(syms, pair: tuple, new_id: int) -> list:
+    """``syms`` with each non-overlapping occurrence of ``pair``, left to
+    right, replaced by ``new_id``."""
     out, i = [], 0
     n = len(syms)
     while i < n:
@@ -199,7 +192,7 @@ def _merge_word(syms: tuple, pair: tuple, new_id: int) -> tuple:
         else:
             out.append(syms[i])
             i += 1
-    return tuple(out)
+    return out
 
 
 def _pick_best(pair_counts: dict, vocab: list) -> tuple:
@@ -255,7 +248,7 @@ def train_bbpe(corpus, vocab_size: int, specials=(), word_split: bool = True) ->
             syms = words[wi]
             c = wfreq[wi]
             old_pairs = Counter(zip(syms, syms[1:]))
-            new_syms = list(_merge_word(tuple(syms), best, new_id))
+            new_syms = _merge_word(syms, best, new_id)
             new_pairs = Counter(zip(new_syms, new_syms[1:]))
             words[wi] = new_syms
             for p, k in (new_pairs - old_pairs).items():

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -23,42 +23,24 @@ from .mup import HyperParams, ParamClass, classify, hyperparams_to_dict
 from .tensor import RngState
 
 
-@dataclass
+@dataclass(frozen=True)
 class Schedule:
-    """Learning-rate schedule plus the fixed optimizer settings.
+    """The learning-rate schedule and optimizer settings of one run.
 
-    Warmup is linear from 0 to the per-class peak over
-    ``warmup_steps * batch_tokens`` tokens (override with ``warmup_tokens``
-    to think in tokens directly), then cosine decay from peak to ``min_lr``
-    over the remaining ``schedule_tokens``, clamped at ``min_lr`` beyond.
+    Every knob comes from ``hp``; ``batch_tokens`` is the number of tokens
+    one optimizer step trains.  Warmup is linear from 0 to the per-class
+    peak over ``hp.warmup_steps * batch_tokens`` tokens, then cosine decay
+    from peak to ``hp.min_lr`` over the rest of ``hp.schedule_tokens``,
+    clamped at ``hp.min_lr`` beyond.
     """
 
-    vector_peak_lr: float
-    matrix_peak_lr: float
-    min_lr: float
-    warmup_steps: int
-    schedule_tokens: int
+    hp: HyperParams
     batch_tokens: int
-    clip_norm: float = 1.0
-    weight_decay: float = 0.0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.95
-    adam_eps: float = 1e-8
-    warmup_tokens: int | None = None
 
     @classmethod
-    def from_hyperparams(cls, hp: HyperParams, **overrides) -> "Schedule":
-        """Overrides name Schedule fields; an unknown name raises TypeError."""
-        return replace(cls(
-            vector_peak_lr=hp.vector_lr,
-            matrix_peak_lr=hp.matrix_lr,
-            min_lr=hp.min_lr,
-            warmup_steps=hp.warmup_steps,
-            schedule_tokens=hp.schedule_tokens,
-            batch_tokens=hp.batch_tokens,
-            clip_norm=hp.clip_grad,
-            weight_decay=hp.weight_decay,
-        ), **overrides)
+    def from_hyperparams(cls, hp: HyperParams) -> "Schedule":
+        """Step by the published ``hp.batch_tokens``."""
+        return cls(hp, hp.batch_tokens)
 
     @classmethod
     def for_rows(cls, hp: HyperParams, rows_per_batch: int,
@@ -67,19 +49,15 @@ class Schedule:
         ``context_length`` tokens a step.  It steps by the tokens actually
         trained, so logged token counts are honest; ``desklm train``,
         ``run_grid`` and ``coordinate_check`` all use it."""
-        return cls.from_hyperparams(hp, batch_tokens=rows_per_batch * context_length)
+        return cls(hp, rows_per_batch * context_length)
 
-    def _warmup_tokens(self) -> int:
-        if self.warmup_tokens is not None:
-            return self.warmup_tokens
-        return self.warmup_steps * self.batch_tokens
+    @property
+    def warmup_tokens(self) -> int:
+        return self.hp.warmup_steps * self.batch_tokens
 
     def validate(self):
-        if self.vector_peak_lr < 0 or self.matrix_peak_lr < 0:
-            raise ConfigError("peak learning rates must be >= 0")
-        if self.min_lr < 0:
-            raise ConfigError("min_lr must be >= 0")
-        if self._warmup_tokens() >= self.schedule_tokens:
+        self.hp.validate()
+        if self.warmup_tokens >= self.hp.schedule_tokens:
             raise ConfigError("warmup must end before schedule_tokens")
         return self
 
@@ -90,17 +68,17 @@ def lr_at(schedule: Schedule, param_class: ParamClass, tokens_seen: int) -> floa
     Exactly the peak at warmup end, exactly ``min_lr`` at and beyond the
     schedule end, non-increasing in between.
     """
-    peak = (schedule.matrix_peak_lr if param_class == ParamClass.MATRIX
-            else schedule.vector_peak_lr)
-    warm = schedule._warmup_tokens()
+    hp = schedule.hp
+    peak = hp.matrix_lr if param_class == ParamClass.MATRIX else hp.vector_lr
+    warm = schedule.warmup_tokens
     if tokens_seen < 0:
         raise ConfigError("tokens_seen must be >= 0")
     if warm > 0 and tokens_seen <= warm:
         return peak * (tokens_seen / warm)
-    if tokens_seen >= schedule.schedule_tokens:
-        return schedule.min_lr
-    progress = (tokens_seen - warm) / (schedule.schedule_tokens - warm)
-    return schedule.min_lr + (peak - schedule.min_lr) * 0.5 * (1.0 + math.cos(math.pi * progress))
+    if tokens_seen >= hp.schedule_tokens:
+        return hp.min_lr
+    progress = (tokens_seen - warm) / (hp.schedule_tokens - warm)
+    return hp.min_lr + (peak - hp.min_lr) * 0.5 * (1.0 + math.cos(math.pi * progress))
 
 
 def clip_gradients(grads, clip_norm: float) -> float:
@@ -125,6 +103,10 @@ def clip_gradients(grads, clip_norm: float) -> float:
     return norm
 
 
+# Adam's first and second moment decay rates and its denominator floor.
+BETA1, BETA2, EPS = 0.9, 0.95, 1e-8
+
+
 class AdamState:
     """Per-parameter first/second moment buffers with bias correction."""
 
@@ -135,22 +117,22 @@ class AdamState:
 
     def apply(self, model: Model, lrs: dict, schedule: Schedule):
         self.t += 1
-        b1, b2, eps = schedule.adam_beta1, schedule.adam_beta2, schedule.adam_eps
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
+        decay = schedule.hp.weight_decay
+        c1 = 1.0 - BETA1 ** self.t
+        c2 = 1.0 - BETA2 ** self.t
         for name, p in model.params.items():
             g = p.grad
             if g is None:
                 continue
             m, v = self.m[name], self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            lr = lrs[classify(name, p.shape)]
-            if schedule.weight_decay > 0.0:
-                p.data -= lr * schedule.weight_decay * p.data
-            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            lr = lrs[classify(name)]
+            if decay > 0.0:
+                p.data -= lr * decay * p.data
+            p.data -= lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
 @dataclass
@@ -206,7 +188,13 @@ def _median_band(values, mult):
     return med, med + mult * mad
 
 
-def detect_spike(window, recovery_window: int = 20, mad_mult: float = 4.0):
+# Spike-detector defaults: the excursion length that counts as sustained,
+# the band width in MADs, and the trailing window `train` hands the detector.
+RECOVERY_WINDOW, MAD_MULT, DETECTOR_WINDOW = 20, 4.0, 100
+
+
+def detect_spike(window, recovery_window: int = RECOVERY_WINDOW,
+                 mad_mult: float = MAD_MULT):
     """Classify the most recent loss behaviour in a trailing window.
 
     ``window`` is a sequence of (loss, grad_norm) pairs or StepLog rows,
@@ -309,7 +297,7 @@ def train_step(model: Model, batch, optimizer: AdamState, schedule: Schedule,
         loss.backward()
         grads = [p.grad for p in model.params.values() if p.grad is not None]
         try:
-            gnorm = clip_gradients(grads, schedule.clip_norm)
+            gnorm = clip_gradients(grads, schedule.hp.clip_grad)
         except NonFiniteGradientError:
             ok = False
         else:
@@ -321,8 +309,9 @@ def train_step(model: Model, batch, optimizer: AdamState, schedule: Schedule,
 
 
 def train(model: Model, schedule: Schedule, batches, steps: int,
-          detect: bool = True, recovery_window: int = 20, mad_mult: float = 4.0,
-          detector_window: int = 100, stop_on_abort: bool = True,
+          detect: bool = True, recovery_window: int = RECOVERY_WINDOW,
+          mad_mult: float = MAD_MULT, detector_window: int = DETECTOR_WINDOW,
+          stop_on_abort: bool = True,
           checkpoint_every: int | None = None, checkpoint_dir=None) -> TrainResult:
     """Run up to ``steps`` training steps with monitoring.
 
@@ -416,8 +405,14 @@ def smoothed(losses, window: int):
     return out
 
 
-def score_run(log, status, weights=(1.0, 0.25, 0.25), smooth_window: int | None = None):
+# (final loss, non-monotonicity, grad trend) weights of score_run.
+SCORE_WEIGHTS = (1.0, 0.25, 0.25)
+
+
+def score_run(log, status):
     """Scalar quality score for a training curve; lower is better.
+
+    With (w0, w1, w2) = SCORE_WEIGHTS,
 
     score = w0 * final smoothed loss
           + w1 * total positive variation of the smoothed loss curve
@@ -429,7 +424,7 @@ def score_run(log, status, weights=(1.0, 0.25, 0.25), smooth_window: int | None 
     if status != "completed" or not log:
         return math.inf, math.inf, math.inf, math.inf
     losses = [r.loss for r in log]
-    w = smooth_window or max(1, min(20, len(losses) // 5))
+    w = max(1, min(20, len(losses) // 5))
     sm = smoothed(losses, w)
     final = float(np.mean(losses[-w:]))
     nonmono = float(sum(max(0.0, sm[i + 1] - sm[i]) for i in range(len(sm) - 1)))
@@ -439,13 +434,13 @@ def score_run(log, status, weights=(1.0, 0.25, 0.25), smooth_window: int | None 
         gpen = max(0.0, slope) * len(half)
     else:
         gpen = 0.0
-    score = weights[0] * final + weights[1] * nonmono + weights[2] * gpen
+    w0, w1, w2 = SCORE_WEIGHTS
+    score = w0 * final + w1 * nonmono + w2 * gpen
     return score, final, nonmono, gpen
 
 
 def run_grid(base_config, hp_list, packed, steps: int, seed: int,
-             rows_per_batch: int = 4, out_dir=None,
-             weights=(1.0, 0.25, 0.25)) -> list:
+             rows_per_batch: int = 4, out_dir=None) -> list:
     """Train every candidate on an identical data order and rank them.
 
     Returns GridEntry rows sorted best-first.  The ranking is invariant to
@@ -459,7 +454,7 @@ def run_grid(base_config, hp_list, packed, steps: int, seed: int,
         schedule = Schedule.for_rows(hp, rows_per_batch, base_config.context_length)
         batches = batch_iterator(packed, rows_per_batch, steps, seed)
         result = train(model, schedule, batches, steps, stop_on_abort=False)
-        score, final, nonmono, gpen = score_run(result.log, result.status, weights)
+        score, final, nonmono, gpen = score_run(result.log, result.status)
         curve_path = None
         if out_dir is not None:
             curve_path = str(out_dir / f"grid{idx:03d}.csv") if hasattr(out_dir, "__truediv__") \
@@ -473,9 +468,9 @@ def run_grid(base_config, hp_list, packed, steps: int, seed: int,
     return entries
 
 
-def grid_report(entries, weights=(1.0, 0.25, 0.25)) -> dict:
+def grid_report(entries) -> dict:
     return {
-        "score_weights": list(weights),
+        "score_weights": list(SCORE_WEIGHTS),
         "all_failed": all(e.status != "completed" for e in entries),
         "ranking": [asdict(e) for e in entries],
     }

@@ -19,7 +19,7 @@ from desklm.presets import (config_52b, config_mup_512, hyperparams_52b,
     "layers.2.ffn.w_down",
 ])
 def test_matrix_like_roles(role):
-    assert classify(role, (64, 64)) == ParamClass.MATRIX
+    assert classify(role) == ParamClass.MATRIX
 
 
 @pytest.mark.parametrize("role,shape", [
@@ -28,12 +28,12 @@ def test_matrix_like_roles(role):
     ("final_norm.gain", (64,)), ("final_norm.bias", (64,)),
 ])
 def test_vector_like_roles(role, shape):
-    assert classify(role, shape) == ParamClass.VECTOR
+    assert classify(role) == ParamClass.VECTOR
 
 
 def test_unknown_role_rejected():
     with pytest.raises(ClassificationError):
-        classify("layers.0.attn.w_strange", (8, 8))
+        classify("layers.0.attn.w_strange")
 
 
 # -- transfer arithmetic ---------------------------------------------------------

@@ -73,3 +73,23 @@ def fd_checked_ops():
 def test_every_tape_op_is_finite_difference_checked():
     assert "causal_attention" in tape_ops()
     assert sorted(tape_ops() - fd_checked_ops()) == []
+
+
+def unread_parameters():
+    """Function arguments, other than self/cls, that the body never names."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            args = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            named = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+            found += [f"{path.name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}({arg.arg})"
+                      for arg in args if arg.arg not in ("self", "cls", *named)]
+    return found
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters() == []

@@ -57,36 +57,30 @@ def test_lr_cosine_midpoint():
 
 def test_lr_warmup_is_linear_from_zero():
     sched = Schedule.from_hyperparams(toy_hyperparams())
-    warm = sched._warmup_tokens()
+    warm = sched.warmup_tokens
     assert lr_at(sched, ParamClass.MATRIX, 0) == 0.0
     assert lr_at(sched, ParamClass.MATRIX, warm // 2) == pytest.approx(
-        sched.matrix_peak_lr / 2, rel=1e-12)
+        sched.hp.matrix_lr / 2, rel=1e-12)
 
 
 def test_lr_non_increasing_after_warmup():
     sched = Schedule.from_hyperparams(toy_hyperparams(steps=1000))
-    warm = sched._warmup_tokens()
-    points = np.linspace(warm, sched.schedule_tokens, 200).astype(int)
+    warm = sched.warmup_tokens
+    points = np.linspace(warm, sched.hp.schedule_tokens, 200).astype(int)
     vals = [lr_at(sched, ParamClass.MATRIX, int(t)) for t in points]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 
 
 def test_lr_respects_param_class():
     sched = Schedule.from_hyperparams(toy_hyperparams())
-    warm = sched._warmup_tokens()
+    warm = sched.warmup_tokens
     assert lr_at(sched, ParamClass.VECTOR, warm) == 3e-3
     assert lr_at(sched, ParamClass.MATRIX, warm) == 1.2e-2
 
 
-def test_lr_warmup_tokens_override():
-    sched = Schedule.from_hyperparams(toy_hyperparams(), warmup_tokens=100)
-    assert lr_at(sched, ParamClass.MATRIX, 100) == sched.matrix_peak_lr
-    assert lr_at(sched, ParamClass.MATRIX, 50) == sched.matrix_peak_lr / 2
-
-
 def test_lr_zero_warmup_starts_at_peak():
-    sched = Schedule.from_hyperparams(toy_hyperparams(), warmup_steps=0)
-    assert lr_at(sched, ParamClass.MATRIX, 0) == sched.matrix_peak_lr
+    sched = Schedule.from_hyperparams(replace(toy_hyperparams(), warmup_steps=0))
+    assert lr_at(sched, ParamClass.MATRIX, 0) == sched.hp.matrix_lr
 
 
 def test_lr_rejects_negative_tokens():
@@ -96,14 +90,18 @@ def test_lr_rejects_negative_tokens():
 
 
 def test_schedule_validation():
+    hp = toy_hyperparams()
     with pytest.raises(ConfigError):
-        Schedule.from_hyperparams(toy_hyperparams(), warmup_steps=10**9).validate()
+        Schedule.from_hyperparams(replace(hp, warmup_steps=10**9)).validate()
     with pytest.raises(ConfigError):
-        Schedule.from_hyperparams(toy_hyperparams(), matrix_peak_lr=-1.0).validate()
-    Schedule.from_hyperparams(toy_hyperparams(), vector_peak_lr=0.0,
-                              matrix_peak_lr=0.0, min_lr=0.0).validate()
+        Schedule.from_hyperparams(replace(hp, matrix_lr=-1.0)).validate()
+    Schedule.from_hyperparams(replace(hp, vector_lr=0.0, matrix_lr=0.0,
+                                      min_lr=0.0)).validate()
+    # hp itself is valid; only the run's step size pushes warmup past the end
+    with pytest.raises(ConfigError, match="warmup"):
+        Schedule.for_rows(hp, hp.schedule_tokens, 1).validate()
     with pytest.raises(TypeError):
-        Schedule.from_hyperparams(toy_hyperparams(), warmup_token=5)
+        Schedule.from_hyperparams(hp, warmup_steps=5)
 
 
 # -- gradient clipping --------------------------------------------------------------
@@ -154,8 +152,8 @@ def test_adam_first_step_moves_by_lr():
 
 
 def test_adam_weight_decay_shrinks_params():
-    model, schedule, _, _ = tiny_setup()
-    schedule.weight_decay = 0.5
+    model, _, _, hp = tiny_setup()
+    schedule = Schedule.from_hyperparams(replace(hp, weight_decay=0.5))
     opt = AdamState(model)
     model.zero_grads()
     wq = model.params["layers.0.attn.wq"]
@@ -171,6 +169,18 @@ def test_zero_lr_run_is_a_no_op():
     before = {k: p.data.copy() for k, p in model.params.items()}
     result = train(model, schedule, batch_iterator(packed, 2, 5, seed=1), steps=5)
     assert result.status == "completed"
+    for k, p in model.params.items():
+        assert np.array_equal(p.data, before[k]), k
+
+
+@pytest.mark.parametrize("bad", [{"weight_decay": -0.1},
+                                 {"min_lr": 0.5}])   # above both peak rates
+def test_train_rejects_invalid_schedule_before_first_step(bad):
+    model, _, packed, hp = tiny_setup()
+    schedule = Schedule.from_hyperparams(replace(hp, **bad))
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    with pytest.raises(ConfigError):
+        train(model, schedule, batch_iterator(packed, 2, 5, seed=1), steps=5)
     for k, p in model.params.items():
         assert np.array_equal(p.data, before[k]), k
 
