@@ -243,6 +243,7 @@ def cmd_train(args, argv):
             f"model expects {config.context_length}")
     rows_per_batch = _derive_rows_per_batch(args, hp, config)
     model, schedule = _build_run(config, hp, rows_per_batch, args.seed)
+    trainer_mod.check_detector(args.recovery_window, args.mad_mult, args.detector_window)
 
     dirs = _run_dirs(args.out)
     _snapshot_invocation(dirs, args, argv)

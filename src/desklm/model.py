@@ -139,6 +139,7 @@ class Model:
         self.multipliers = multipliers.validate()
         self.params = params
         self.last_stats = None
+        self.loaded_step = 0   # the step of the checkpoint this model was loaded from
 
     # -- construction ------------------------------------------------------
 

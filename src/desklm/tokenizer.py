@@ -8,19 +8,23 @@ Training greedily merges the highest-frequency adjacent pair.  Ties break
 deterministically: lexicographically smallest left token bytes, then right.
 By default text is split on Unicode whitespace runs before counting, so no
 merge ever crosses a word/whitespace boundary; ``word_split=False`` lifts
-that restriction.
+that restriction.  The best pair comes off a lazily invalidated heap, and a
+merge updates only the pair counts next to its sites.
 
 Encoding applies merges in creation order (lowest rank first, left to
-right).  For word-split models this is done per whitespace chunk with a
-cache, which provably matches whole-text application because no learned
-merge spans a chunk boundary.
+right) in one pass over the symbols, driven by a min-heap of (rank,
+position) that takes only the two new neighbour pairs of each merge.
+Word-split models encode per whitespace chunk with a cache, which matches
+whole-text application because no learned merge spans a chunk boundary.
+The test oracles ``reference_encode`` and ``reference_bbpe`` pin both paths.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 
 _CHUNK_RE = re.compile(r"\s+|\S+")
 TOKENIZER_VERSION = 1
@@ -87,17 +91,38 @@ class TokenizerModel:
     # -- encode / decode ---------------------------------------------------
 
     def _bpe(self, bs: bytes) -> list[int]:
-        ids = list(bs)
-        while len(ids) >= 2:
-            best_rank, best_pair = None, None
-            for pair in zip(ids, ids[1:]):
-                r = self.ranks.get(pair)
-                if r is not None and (best_rank is None or r < best_rank):
-                    best_rank, best_pair = r, pair
-            if best_pair is None:
-                break
-            ids = _merge_word(ids, best_pair, 256 + len(self.specials) + best_rank)
-        return ids
+        # A pair holding the new token ranks above it and equal ranks pop left
+        # to right, so this replays the merges in creation order.  Merged-away
+        # slots hold -1 and are skipped; -2 ends the list and, as syms[-1],
+        # is the head's left neighbour.
+        syms = [*bs, -2]
+        ranks, merges = self.ranks, self.merges
+        heap = [(r, i) for i, r in enumerate(map(ranks.get, zip(syms, syms[1:])))
+                if r is not None]
+        heapq.heapify(heap)
+        base = 256 + len(self.specials)
+        while heap:
+            rank, i = heapq.heappop(heap)
+            j = i + 1
+            while syms[j] == -1:
+                j += 1
+            if merges[rank] != (syms[i], syms[j]):
+                continue
+            new = syms[i] = base + rank
+            syms[j] = -1
+            k = j + 1
+            while syms[k] == -1:
+                k += 1
+            r = ranks.get((new, syms[k]))
+            if r is not None:
+                heapq.heappush(heap, (r, i))
+            p = i - 1
+            while syms[p] == -1:
+                p -= 1
+            r = ranks.get((syms[p], new))
+            if r is not None:
+                heapq.heappush(heap, (r, p))
+        return [s for s in syms if s >= 0]
 
     def encode(self, text) -> list[int]:
         """Byte sequence (or str, taken as UTF-8) to token ids.
@@ -166,7 +191,7 @@ class TokenizerModel:
 
 def _initial_words(corpus, word_split: bool) -> Counter:
     """Count occurrences of each training unit (whitespace chunk or whole
-    document) as a tuple of byte ids."""
+    document) as bytes."""
     counts: Counter = Counter()
     for doc in corpus:
         data = _to_bytes(doc)
@@ -177,29 +202,37 @@ def _initial_words(corpus, word_split: bool) -> Counter:
                 counts[chunk] += 1
         else:
             counts[data] += 1
-    return Counter({tuple(k): v for k, v in counts.items()})
+    return counts
 
 
-def _merge_word(syms, pair: tuple, new_id: int) -> list:
+def _merge_word(syms, pair: tuple, new_id: int):
     """``syms`` with each non-overlapping occurrence of ``pair``, left to
-    right, replaced by ``new_id``."""
-    out, i = [], 0
-    n = len(syms)
-    while i < n:
-        if i + 1 < n and syms[i] == pair[0] and syms[i + 1] == pair[1]:
-            out.append(new_id)
-            i += 2
-        else:
-            out.append(syms[i])
+    right, replaced by ``new_id``, and the change in the word's pair counts:
+    down for the pairs at and beside each site, up for those holding new_id."""
+    a, b = pair
+    out, delta = [], defaultdict(int)
+    start, i, last = 0, 0, len(syms) - 1
+    while True:
+        try:
+            i = syms.index(a, i, last)
+        except ValueError:
+            return out + syms[start:], delta
+        if syms[i + 1] != b:
             i += 1
-    return out
-
-
-def _pick_best(pair_counts: dict, vocab: list) -> tuple:
-    """Highest count; ties by smallest left bytes, then right bytes, then ids."""
-    best_count = max(pair_counts.values())
-    cands = [p for p, c in pair_counts.items() if c == best_count]
-    return min(cands, key=lambda p: (vocab[p[0]], vocab[p[1]], p))
+            continue
+        out += syms[start:i]
+        if out:
+            left = out[-1]
+            if left != new_id:  # else the previous site already counted (b, a)
+                delta[left, a] -= 1
+            delta[left, new_id] += 1
+        delta[pair] -= 1
+        if i + 1 < last:
+            delta[b, syms[i + 2]] -= 1
+            if tuple(syms[i + 2:i + 4]) != pair:  # no site right after this one
+                delta[new_id, syms[i + 2]] += 1
+        out.append(new_id)
+        start = i = i + 2
 
 
 def train_bbpe(corpus, vocab_size: int, specials=(), word_split: bool = True) -> TokenizerModel:
@@ -226,43 +259,49 @@ def train_bbpe(corpus, vocab_size: int, specials=(), word_split: bool = True) ->
         vocab.append(name.encode("utf-8"))
 
     word_counts = _initial_words(corpus, word_split)
-    words = [list(w) for w in word_counts]
-    wfreq = [word_counts[tuple(w)] for w in words]
+    words, wfreq = [list(w) for w in word_counts], list(word_counts.values())
 
-    pair_counts: dict = {}
-    pair_words: dict = {}
+    pair_counts, pair_words = {}, {}
     for wi, syms in enumerate(words):
         c = wfreq[wi]
         for pair in zip(syms, syms[1:]):
             pair_counts[pair] = pair_counts.get(pair, 0) + c
             pair_words.setdefault(pair, set()).add(wi)
 
+    # A pair's count rises only in the merge that creates one of its tokens,
+    # so no heap entry ranks a pair too low, and a popped entry with a stale
+    # count is pushed back with the current one.  The key is the tie-break.
+    def key(p):
+        return -pair_counts[p], vocab[p[0]], vocab[p[1]], p
+
+    heap = [key(p) for p in pair_counts]
+    heapq.heapify(heap)
     merges: list[tuple[int, int]] = []
-    while len(vocab) < vocab_size and pair_counts:
-        best = _pick_best(pair_counts, vocab)
+    while len(vocab) < vocab_size and heap:
+        neg, _, _, best = heapq.heappop(heap)
+        if pair_counts.get(best, 0) != -neg:
+            if best in pair_counts:
+                heapq.heappush(heap, key(best))
+            continue
         new_id = len(vocab)
         vocab.append(vocab[best[0]] + vocab[best[1]])
         merges.append(best)
-        touched = sorted(pair_words.get(best, ()))
-        for wi in touched:
-            syms = words[wi]
-            c = wfreq[wi]
-            old_pairs = Counter(zip(syms, syms[1:]))
-            new_syms = _merge_word(syms, best, new_id)
-            new_pairs = Counter(zip(new_syms, new_syms[1:]))
-            words[wi] = new_syms
-            for p, k in (new_pairs - old_pairs).items():
-                pair_counts[p] = pair_counts.get(p, 0) + k * c
-                pair_words.setdefault(p, set()).add(wi)
-            for p, k in (old_pairs - new_pairs).items():
-                left = pair_counts[p] - k * c
+        born = set()
+        # pair_words may still list words that lost the pair; they merge to no change.
+        for wi in pair_words.pop(best):
+            words[wi], delta = _merge_word(words[wi], best, new_id)
+            for p, d in delta.items():
+                left = pair_counts.get(p, 0) + d * wfreq[wi]
                 if left:
                     pair_counts[p] = left
                 else:
                     del pair_counts[p]
                     pair_words.pop(p, None)
-                if p not in new_pairs and p in pair_words:
-                    pair_words[p].discard(wi)
+                if d > 0:
+                    pair_words.setdefault(p, set()).add(wi)
+                    born.add(p)
+        for p in born:
+            heapq.heappush(heap, key(p))
 
     return TokenizerModel(vocab, merges, special_map, word_split=word_split)
 

@@ -193,6 +193,15 @@ def _median_band(values, mult):
 RECOVERY_WINDOW, MAD_MULT, DETECTOR_WINDOW = 20, 4.0, 100
 
 
+def check_detector(recovery_window: int, mad_mult: float, detector_window: int | None = None):
+    """Reject a negative ``mad_mult``, which flags a calm run as a spike, and
+    a ``detector_window`` below ``recovery_window``, which never fires."""
+    if not mad_mult >= 0:
+        raise ConfigError(f"mad_mult must be >= 0, got {mad_mult!r}")
+    if detector_window is not None and detector_window < recovery_window:
+        raise ConfigError(f"detector_window {detector_window} < recovery_window {recovery_window}")
+
+
 def detect_spike(window, recovery_window: int = RECOVERY_WINDOW,
                  mad_mult: float = MAD_MULT):
     """Classify the most recent loss behaviour in a trailing window.
@@ -211,6 +220,7 @@ def detect_spike(window, recovery_window: int = RECOVERY_WINDOW,
       steps, and whose grad norms stayed inside their own band.  A short
       excursion with out-of-band grad norms is not classified.
     """
+    check_detector(recovery_window, mad_mult)
     if len(window) < recovery_window:
         return None
     if isinstance(window[0], StepLog):
@@ -321,6 +331,7 @@ def train(model: Model, schedule: Schedule, batches, steps: int,
     and training continues.
     """
     schedule.validate()
+    check_detector(recovery_window, mad_mult, detector_window)
     optimizer = AdamState(model)
     log, events = [], []
     status = "completed"

@@ -284,6 +284,17 @@ def test_train_rejected_inputs_leave_no_run_directory(ws, tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("extra", [["--detector-window", "10"], ["--mad-mult=-1"]])
+def test_train_rejects_misfiring_spike_detector(ws, tmp_path, extra):
+    # a detector window below the default recovery window of 20 never fires;
+    # a negative MAD multiple turns a calm run into abort_recommended
+    out = tmp_path / "r"
+    assert run(["train", "--config", str(ws / "config.json"),
+                "--hyperparams", str(ws / "hp.json"), "--data", str(ws / "packed.dlm"),
+                "--steps", "2", "--out", str(out)] + extra) == 2
+    assert not out.exists()
+
+
 def test_train_and_grid_search_log_the_same_run(ws, tmp_path):
     hp = toy_hyperparams(steps=6, batch_tokens=64, warmup_steps=2)
     hp_path = tmp_path / "hp.json"

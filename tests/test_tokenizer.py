@@ -75,6 +75,37 @@ def test_encode_matches_global_merge_replay(word_split):
         assert model.encode(data) == reference_encode(model, data)
 
 
+CJK_STYLES = ("chinese", "classical_chinese")
+
+
+def cjk_texts(seed=17, target_bytes=16_000):
+    """CJK prose with no whitespace, so every document is one long chunk."""
+    return [d.text for d in build_corpus(seed, target_bytes, styles=CJK_STYLES, doc_size=80)]
+
+
+@pytest.mark.parametrize("style", CJK_STYLES)
+def test_heap_encode_matches_global_merge_replay_on_long_cjk_chunks(style):
+    model = train_bbpe(cjk_texts(), 400, specials=("<pad>",))
+    blobs = [d.text.encode() for d in build_corpus(5, 12_000, styles=(style,), doc_size=80)]
+    assert min(len(b) for b in blobs) >= 800
+    for data in blobs:
+        assert model.encode(data) == reference_encode(model, data)
+
+
+@pytest.mark.parametrize("word_split", [True, False])
+@pytest.mark.parametrize("data", [b"a" * 1000, b"aaab" * 200, b"a" * 7 + b"b" + b"a" * 2])
+def test_heap_encode_overlapping_pairs(data, word_split):
+    # merges (a, a), (aa, a) and (aa, aa) overlap on runs of one byte: the leftmost
+    # occurrence of the lowest rank must win, exactly as in the replay
+    vocab = [bytes([i]) for i in range(256)]
+    merges = [(97, 97), (256, 97), (256, 256), (257, 98)]
+    for l, r in merges:
+        vocab.append(vocab[l] + vocab[r])
+    model = TokenizerModel(vocab, merges, {}, word_split=word_split)
+    assert model.encode(data) == reference_encode(model, data)
+    assert model.decode(model.encode(data)) == data
+
+
 def test_encode_cache_is_transparent():
     model = small_trained()
     text = "repeat repeat repeat tokens"
@@ -104,6 +135,18 @@ def test_training_matches_quadratic_oracle(word_split):
     texts = [d.text for d in build_corpus(seed=13, target_bytes=20_000)]
     model = train_bbpe(texts, 330, specials=("<pad>",), word_split=word_split)
     ref_merges, ref_vocab = reference_bbpe(texts, 330, specials=("<pad>",),
+                                           word_split=word_split)
+    assert model.merges == ref_merges
+    assert model.vocab == ref_vocab
+
+
+@pytest.mark.parametrize("word_split", [True, False])
+def test_neighbour_updates_match_quadratic_oracle_on_cjk_and_runs(word_split):
+    # long chunks with many merge sites each, and runs of one byte, repeated
+    # so that aa, aaa, aaaa, ... are learned and merge sites sit side by side
+    texts = cjk_texts() + ["aaaa aaaaa aaaaaaa"] * 20
+    model = train_bbpe(texts, 400, specials=("<pad>",), word_split=word_split)
+    ref_merges, ref_vocab = reference_bbpe(texts, 400, specials=("<pad>",),
                                            word_split=word_split)
     assert model.merges == ref_merges
     assert model.vocab == ref_vocab

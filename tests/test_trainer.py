@@ -373,6 +373,29 @@ def test_detect_accepts_steplog_rows():
     assert event is not None and event.kind == "sustained"
 
 
+def test_negative_mad_mult_is_rejected_by_name():
+    # a band below the median would flag this calm window as sustained
+    losses, gnorms = stable_window(40)
+    with pytest.raises(ConfigError, match="mad_mult"):
+        detect_spike(list(zip(losses, gnorms)), recovery_window=10, mad_mult=-1.0)
+    model, schedule, packed, _ = tiny_setup()
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    with pytest.raises(ConfigError, match="mad_mult"):
+        train(model, schedule, batch_iterator(packed, 2, 5, seed=1), steps=5, mad_mult=-1.0)
+    for k, p in model.params.items():
+        assert np.array_equal(p.data, before[k]), k
+
+
+def test_train_rejects_detector_window_shorter_than_recovery_window():
+    model, schedule, packed, _ = tiny_setup()
+    before = {k: p.data.copy() for k, p in model.params.items()}
+    with pytest.raises(ConfigError, match="detector_window 10 < recovery_window 20"):
+        train(model, schedule, batch_iterator(packed, 2, 5, seed=1), steps=5,
+              detector_window=10)
+    for k, p in model.params.items():
+        assert np.array_equal(p.data, before[k]), k
+
+
 # -- scoring and grid search ----------------------------------------------------------------
 
 def test_smoothed_ramp_in():
