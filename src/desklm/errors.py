@@ -14,6 +14,10 @@ class ConfigError(ValueError):
     """A configuration object fails its own validation rules."""
 
 
+class CorruptFileError(ValueError):
+    """A file on disk is truncated, padded or inconsistent with its header."""
+
+
 class ClassificationError(ValueError):
     """A parameter role is unknown to the width-scaling classifier."""
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 from . import corpus as corpus_mod
 from .errors import ConfigError
-from .model import predicted_positions
+from .model import Model, predicted_positions
+from .tensor import Tensor
 
 LN2 = math.log(2.0)
 
@@ -56,9 +57,15 @@ def domain_loss(model, tokenizer, eval_set: DomainEvalSet,
     training rows, padded with ``tokenizer.pad_id``; the mean is over all
     predicted positions (document boundaries inside a row included), so
     batching cannot change it.
+
+    The forward runs over views of the parameters that need no gradient
+    (same arrays, no copy), so it builds no tape and leaves ``model``'s
+    gradients and ``last_stats`` as they were.
     """
     if rows_per_batch <= 0:
         raise ConfigError(f"rows_per_batch must be positive, got {rows_per_batch}")
+    view = Model(model.config, model.multipliers,
+                 {k: Tensor(p.data) for k, p in model.params.items()})
     tokens, segments = corpus_mod.pack(eval_set.token_docs, model.config.context_length,
                                        tokenizer.pad_id)
     total_nats = 0.0
@@ -69,8 +76,7 @@ def domain_loss(model, tokenizer, eval_set: DomainEvalSet,
         n = predicted_positions(sb).sum()
         if n == 0:
             continue
-        loss = model.loss(tb, sb)
-        total_nats += loss.item() * n
+        total_nats += view.loss(tb, sb).item() * n
         total_positions += n
     if total_positions == 0:
         raise ConfigError(f"eval set {eval_set.name!r} has no predictable positions")

@@ -13,16 +13,26 @@ where each array entry is ``{"name", "dtype", "shape", "offset", "nbytes"}``
 with offsets relative to the start of the data section.  Supported dtypes
 are "<f8" and "<i4".  Checkpoints and packed token files both use this
 container; see README for the exact meta fields each writer stores.
+
+Writes go to a temporary file beside the target that replaces it only once
+complete, so a crash never leaves a half-written container under the
+target's name.  Reads check the layout against the file's size and reject
+a truncated, padded or inconsistent file with :class:`CorruptFileError`.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 from pathlib import Path
 
 import numpy as np
 
+from .errors import CorruptFileError
+
 _MAGIC = b"DLM1"
+_PREAMBLE = 12                  # magic plus the uint64 header length
 _DTYPES = {"<f8", "<i4"}
 
 
@@ -59,35 +69,82 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
         "arrays": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(len(header_bytes).to_bytes(8, "little"))
-        f.write(header_bytes)
-        for blob in blobs:
-            f.write(blob)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC)
+            f.write(len(header_bytes).to_bytes(8, "little"))
+            f.write(header_bytes)
+            for blob in blobs:
+                f.write(blob)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_arrays(path) -> tuple[dict, dict]:
     """Read a container written by :func:`save_arrays`.
 
-    Returns ``(arrays, meta)`` with arrays in file order.
+    Returns ``(arrays, meta)`` with arrays in file order.  Raises
+    :class:`CorruptFileError`, naming ``path``, unless the header fits the
+    file and the arrays it lists fill the data section exactly, each in
+    header order with nbytes = prod(shape) * itemsize.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
-        raise ValueError(f"{path}: not a DLM1 array file")
-    header_len = int.from_bytes(raw[4:12], "little")
-    header = json.loads(raw[12:12 + header_len].decode("utf-8"))
-    if header.get("format_version") != 1:
-        raise ValueError(f"{path}: unsupported format_version {header.get('format_version')}")
-    data = raw[12 + header_len:]
+        raise CorruptFileError(f"{path}: not a DLM1 array file")
+    if len(raw) < _PREAMBLE:
+        raise CorruptFileError(f"{path}: truncated: {len(raw)} bytes, "
+                               f"shorter than the {_PREAMBLE}-byte preamble")
+    data_start = _PREAMBLE + int.from_bytes(raw[4:_PREAMBLE], "little")
+    if data_start > len(raw):
+        raise CorruptFileError(f"{path}: truncated: the header ends at byte {data_start} "
+                               f"of a {len(raw)}-byte file")
+    try:
+        header = json.loads(raw[_PREAMBLE:data_start].decode("utf-8"))
+        version, meta, entries = header["format_version"], header["meta"], header["arrays"]
+        if not isinstance(entries, list):
+            raise TypeError(f"arrays is a {type(entries).__name__}, not a list")
+    except (ValueError, TypeError, KeyError) as e:
+        raise CorruptFileError(f"{path}: unreadable header ({e!r})") from e
+    if version != 1:
+        raise CorruptFileError(f"{path}: unsupported format_version {version!r}")
+    data = memoryview(raw)[data_start:]
     arrays = {}
-    for ent in header["arrays"]:
-        if ent["dtype"] not in _DTYPES:
-            raise ValueError(f"{path}: unsupported dtype {ent['dtype']}")
-        blob = data[ent["offset"]:ent["offset"] + ent["nbytes"]]
-        arr = np.frombuffer(blob, dtype=ent["dtype"]).reshape(ent["shape"]).copy()
-        arrays[ent["name"]] = arr
-    return arrays, header["meta"]
+    end = 0
+    for ent in entries:
+        arrays[ent["name"]] = _read_entry(path, data, ent, end)
+        end += ent["nbytes"]
+    if end != len(data):
+        raise CorruptFileError(f"{path}: {len(data) - end} trailing bytes after the "
+                               f"{end} bytes of array data")
+    return arrays, meta
+
+
+def _read_entry(path, data, ent: dict, offset: int) -> np.ndarray:
+    """One array of the data section, which must start at ``offset``."""
+    try:
+        name, dtype, shape, nbytes = ent["name"], ent["dtype"], ent["shape"], ent["nbytes"]
+        if dtype not in _DTYPES:
+            raise CorruptFileError(f"{path}: unsupported dtype {dtype!r} for array {name!r}")
+        if not all(isinstance(n, int) and n >= 0 for n in shape):
+            raise CorruptFileError(f"{path}: array {name!r} has a bad shape {shape!r}")
+        count = math.prod(shape)
+        want = count * np.dtype(dtype).itemsize
+        if nbytes != want or ent["offset"] != offset:
+            raise CorruptFileError(
+                f"{path}: array {name!r} claims {nbytes!r} bytes at offset {ent['offset']!r}; "
+                f"shape {shape} needs {want} bytes at offset {offset}")
+    except (TypeError, KeyError) as e:
+        raise CorruptFileError(f"{path}: malformed array entry {ent!r}") from e
+    if offset + nbytes > len(data):
+        raise CorruptFileError(f"{path}: truncated: array {name!r} needs bytes up to "
+                               f"{offset + nbytes} of a {len(data)}-byte data section")
+    return np.frombuffer(data, dtype=dtype, count=count, offset=offset).reshape(shape).copy()
 
 
 def canonical_json(obj) -> str:

@@ -5,6 +5,13 @@ holds the data, every op records a closure that knows how to push the
 upstream gradient into its parents, and ``backward`` walks the tape in
 reverse topological order.  Everything is 64-bit so finite-difference
 gradient checks can be tight.
+
+The tape lives no longer than it must.  An op over operands that need no
+gradient records nothing, so a forward pass over such tensors (evaluation
+wraps the parameters this way) keeps no intermediate alive.  ``backward``
+frees each node's gradient and closure, and with it the arrays the closure
+saved, as soon as the closure has run; only leaves keep their gradients,
+and a consumed graph refuses a second ``backward``.
 """
 
 from __future__ import annotations
@@ -103,6 +110,10 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents and node._backward_fn is None:
+                raise RuntimeError(
+                    f"backward() reached a {node._op} node whose tape an earlier "
+                    "backward() already freed; rebuild the graph to differentiate again")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -110,8 +121,12 @@ class Tensor:
                     stack.append((p, False))
         self.grad = np.ones((), dtype=np.float64)
         for node in reversed(topo):
-            if node._backward_fn is not None and node.grad is not None:
-                node._backward_fn(node.grad)
+            if node._parents:
+                if node.grad is not None:
+                    node._backward_fn(node.grad)
+                # Leaves keep their gradients; interior nodes drop theirs and
+                # the closure's saved arrays as soon as they are used.
+                node.grad = node._backward_fn = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self._op})"
@@ -131,10 +146,11 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _make(data, parents, op, backward_fn):
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents),
-                 _parents=parents, _op=op)
-    if out.requires_grad:
-        out._backward_fn = backward_fn
+    """The op's output; it joins the tape only if some parent needs a gradient."""
+    if not any(p.requires_grad for p in parents):
+        return Tensor(data, _op=op)
+    out = Tensor(data, requires_grad=True, _parents=parents, _op=op)
+    out._backward_fn = backward_fn
     return out
 
 

@@ -489,6 +489,17 @@ def test_eval_bpb_mismatched_weights(ws, trained_run, tmp_path):
                 "--weights", str(wpath)]) == 2
 
 
+def test_eval_bpb_rejects_truncated_checkpoint_by_name(ws, trained_run, tmp_path, capsys):
+    good = (trained_run / "checkpoints" / "final.ckpt").read_bytes()
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(good[:len(good) // 2])
+    assert run(["eval-bpb", "--checkpoint", str(cut),
+                "--tokenizer", str(ws / "tok.json"),
+                "--eval", str(ws / "eval.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert str(cut) in err and "truncated" in err
+
+
 # -- parser ------------------------------------------------------------------------------------
 
 def test_version_flag_exits_zero():

@@ -11,7 +11,8 @@ from desklm.errors import ConfigError
 from desklm.evaluation import (BpbReport, append_bpb_curve, bpb, build_report,
                                direct_average, domain_loss, load_eval_set,
                                weighted_sum)
-from desklm.model import Model
+from desklm.corpus import pack
+from desklm.model import Model, predicted_positions
 from desklm.presets import toy_config, toy_hyperparams
 from desklm.synth import build_corpus
 from desklm.tensor import RngState
@@ -144,6 +145,27 @@ def test_domain_loss_single_doc_equals_model_loss(eval_env):
     direct = model.loss(tokens, segments).item()
     assert domain_loss(model, tok, es) == pytest.approx(
         direct, rel=1e-15)
+
+
+def test_domain_loss_builds_no_tape_and_matches_the_taped_loss_bit_for_bit(eval_env):
+    model, tok = eval_env
+    docs = [d.text for d in build_corpus(seed=29, target_bytes=2_000)]
+    es = load_eval_set("mix", docs, tok)
+    tokens, segments = pack(es.token_docs, 16, pad_id=tok.pad_id)
+    assert tokens.shape[0] > 3 * 2
+    nats, positions = 0.0, 0
+    for start in range(0, tokens.shape[0], 3):
+        tb, sb = tokens[start:start + 3], segments[start:start + 3]
+        n = predicted_positions(sb).sum()
+        if n:
+            nats += model.loss(tb, sb).item() * n
+            positions += n
+    model.zero_grads()
+    stats = model.last_stats
+    got = domain_loss(model, tok, es, rows_per_batch=3)
+    assert got == nats / positions
+    assert all(p.grad is None for p in model.params.values())
+    assert model.last_stats is stats
 
 
 def test_zero_output_mult_gives_uniform_loss(eval_env):

@@ -1,7 +1,11 @@
 """DLM1 array container and synthetic corpus generation."""
+import json
+
 import numpy as np
 import pytest
 
+from desklm import io as dio
+from desklm.errors import CorruptFileError
 from desklm.io import canonical_json, load_arrays, save_arrays
 from desklm.synth import STYLES, build_corpus, make_document, mutate_words
 from desklm.tensor import RngState
@@ -61,6 +65,78 @@ def test_empty_array_and_empty_meta(tmp_path):
     back, meta = load_arrays(path)
     assert back["nothing"].shape == (0, 4)
     assert meta == {}
+
+
+def _small_container(tmp_path):
+    path = tmp_path / "small.dlm"
+    save_arrays(path, {"w": np.arange(6, dtype=np.float64).reshape(2, 3),
+                       "ids": np.arange(3, dtype=np.int32)}, {"kind": "unit"})
+    return path, path.read_bytes()
+
+
+def test_truncation_at_every_byte_is_rejected_by_name(tmp_path):
+    path, good = _small_container(tmp_path)
+    cut = tmp_path / "cut.dlm"
+    for n in range(len(good)):
+        cut.write_bytes(good[:n])
+        with pytest.raises(CorruptFileError, match="cut.dlm"):
+            load_arrays(cut)
+
+
+def test_trailing_bytes_are_rejected_by_name(tmp_path):
+    path, good = _small_container(tmp_path)
+    path.write_bytes(good + b"junk")
+    with pytest.raises(CorruptFileError, match=r"small\.dlm: 4 trailing bytes"):
+        load_arrays(path)
+
+
+def _with_header(good, edit):
+    n = int.from_bytes(good[4:12], "little")
+    header = json.loads(good[12:12 + n])
+    edit(header)
+    raw = json.dumps(header).encode()
+    return good[:4] + len(raw).to_bytes(8, "little") + raw + good[12 + n:]
+
+
+@pytest.mark.parametrize("edit,why", [
+    (lambda h: h["arrays"][0].update(nbytes=40), "needs 48 bytes"),
+    (lambda h: h["arrays"][1].update(offset=0), "at offset 48"),
+    (lambda h: h["arrays"][0].update(shape=[2, 2]), "needs 32 bytes"),
+    (lambda h: h["arrays"][0].pop("dtype"), "malformed array entry"),
+    (lambda h: h.pop("arrays"), "unreadable header"),
+], ids=["nbytes", "offset", "shape", "no-dtype", "no-arrays"])
+def test_inconsistent_header_is_rejected_by_name(tmp_path, edit, why):
+    path, good = _small_container(tmp_path)
+    path.write_bytes(_with_header(good, edit))
+    with pytest.raises(CorruptFileError, match=why) as ei:
+        load_arrays(path)
+    assert str(path) in str(ei.value)
+
+
+def test_interrupted_save_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch):
+    path, good = _small_container(tmp_path)
+
+    class DiskFull:
+        def __init__(self, f):
+            self.f, self.writes = f, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, b):
+            self.writes += 1
+            if self.writes == 3:
+                raise OSError("disk full")
+            return self.f.write(b)
+
+    monkeypatch.setattr(dio, "open", lambda *a, **k: DiskFull(open(*a, **k)), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_arrays(path, {"w": np.zeros((50, 50))}, {"kind": "unit"})
+    assert path.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.dlm"]
 
 
 def test_canonical_json_is_stable():

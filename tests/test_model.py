@@ -232,6 +232,43 @@ def test_gradient_reaches_every_parameter():
         assert p.grad is not None and np.linalg.norm(p.grad) > 0, name
 
 
+def _reachable(root):
+    seen, stack = {}, [root]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def test_backward_frees_the_tape_but_keeps_parameter_grads():
+    model = build_small()
+    toks = RngState(2).integers(0, 32, size=(2, 16)).astype(np.int32)
+    seg = np.ones_like(toks)
+    seg[1, 10:] = 0
+    model.zero_grads()
+    loss = model.loss(toks, seg)
+    loss.backward()
+    leaves = {id(p) for p in model.params.values()}
+    interior = [n for n in _reachable(loss) if id(n) not in leaves]
+    assert len(interior) > 50
+    for node in interior:
+        assert node.grad is None and node._backward_fn is None, node
+    for name, p in model.params.items():
+        assert p.grad is not None, name
+
+
+def test_loss_over_frozen_parameters_builds_no_tape():
+    model = build_small()
+    frozen = Model(model.config, model.multipliers,
+                   {k: T.Tensor(p.data) for k, p in model.params.items()})
+    toks = RngState(2).integers(0, 32, size=(2, 16)).astype(np.int32)
+    loss = frozen.loss(toks)
+    assert loss._parents == () and not loss.requires_grad
+    assert loss.item() == model.loss(toks).item()
+
+
 # -- full-model finite-difference check (acceptance criterion 6 core) ---------
 
 def test_full_model_gradient_check():

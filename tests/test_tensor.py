@@ -301,6 +301,40 @@ def test_deep_graph_no_recursion_limit():
     assert a.grad[0] == pytest.approx(1.0)
 
 
+def test_backward_frees_interior_nodes_and_keeps_leaf_grads(rng):
+    a = _rand(rng, 3, 4)
+    b = _rand(rng, 4, 2)
+    h = T.matmul(a, b)
+    loss = T.sum_all(T.swish(h))
+    loss.backward()
+    assert a.grad is not None and b.grad is not None
+    for node in (h, loss):
+        assert node.grad is None and node._backward_fn is None
+
+
+def test_consumed_graph_refuses_a_second_backward(rng):
+    a = _rand(rng, 3)
+    h = T.mul(a, a)
+    T.sum_all(h).backward()
+    first = a.grad.copy()
+    with pytest.raises(RuntimeError, match="already freed"):
+        T.sum_all(T.scale(h, 2.0)).backward()    # shares the freed node h
+    loss = T.sum_all(h)
+    with pytest.raises(RuntimeError, match="already freed"):
+        loss.backward()
+    np.testing.assert_array_equal(a.grad, first)
+
+
+def test_ops_without_gradient_record_no_tape(rng):
+    a = T.Tensor(rng.standard_normal((3, 4)))
+    b = _rand(rng, 4, 2)
+    const = T.swish(T.scale(a, 2.0))
+    assert const._parents == () and const._backward_fn is None
+    assert not const.requires_grad
+    mixed = T.matmul(const, b)
+    assert mixed._parents == (const, b) and mixed.requires_grad
+
+
 def test_matmul_rejects_non_2d(rng):
     a, b = _rand(rng, 2, 3, 4), _rand(rng, 4, 2)
     with pytest.raises(ShapeError):
