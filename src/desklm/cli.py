@@ -49,13 +49,6 @@ def _load_json(path):
         return json.load(f)
 
 
-def _write_json(path, obj):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as f:
-        f.write(dio.canonical_json(obj))
-        f.write("\n")
-
-
 def _emit(args, payload: dict, text_lines):
     """Print either canonical JSON (--json) or human-readable lines."""
     if getattr(args, "json", False):
@@ -66,11 +59,7 @@ def _emit(args, payload: dict, text_lines):
 
 
 def _load_hyperparams(path) -> HyperParams:
-    return hyperparams_from_dict(_load_json(path))
-
-
-def _load_config(path) -> ModelConfig:
-    return ModelConfig.from_dict(_load_json(path))
+    return hyperparams_from_dict(_load_json(path)).validate()
 
 
 def _docs_by_domain(docs):
@@ -80,19 +69,30 @@ def _docs_by_domain(docs):
     return groups
 
 
-def _run_dirs(out) -> dict:
-    root = Path(out)
+def _load_run_inputs(args):
+    """The model config and packed ``(tokens, segments)`` of a run; raises
+    ConfigError when the packed rows' context differs from the config's."""
+    config = ModelConfig.from_dict(_load_json(args.config))
+    tokens, segments, _ = corpus_mod.load_packed(args.data)
+    if tokens.shape[1] != config.context_length:
+        raise ConfigError(f"{args.data}: packed rows have context {tokens.shape[1]}, "
+                          f"model config {args.config} expects {config.context_length}")
+    return config, (tokens, segments)
+
+
+def _start_run(args, argv, snapshots: dict) -> dict:
+    """Make the run directory ``args.out``, write config/invocation.json and
+    each ``{file name: object}`` of ``snapshots`` into config/, and return the
+    subdirectory paths by name.  Call it once every input has been checked."""
+    root = Path(args.out)
     dirs = {name: root / name for name in ("config", "logs", "checkpoints", "reports")}
     for p in dirs.values():
         p.mkdir(parents=True, exist_ok=True)
+    resolved = {k: v for k, v in vars(args).items() if k != "func"}
+    snapshots = {"invocation.json": {"argv": list(argv), "resolved": resolved}, **snapshots}
+    for name, obj in snapshots.items():
+        dio.write_json(dirs["config"] / name, obj)
     return dirs
-
-
-def _snapshot_invocation(dirs, args, argv):
-    record = {k: v for k, v in vars(args).items() if k != "func"}
-    record = {k: (str(v) if isinstance(v, Path) else v) for k, v in record.items()}
-    _write_json(dirs["config"] / "invocation.json",
-                {"argv": list(argv), "resolved": record})
 
 
 def _derive_rows_per_batch(args, hp: HyperParams, config: ModelConfig) -> int:
@@ -234,39 +234,25 @@ def cmd_corpus_pack(args):
 # -- training commands -------------------------------------------------------
 
 def cmd_train(args, argv):
-    config = _load_config(args.config)
-    hp = _load_hyperparams(args.hyperparams).validate()
-    tokens, segments, _ = corpus_mod.load_packed(args.data)
-    if tokens.shape[1] != config.context_length:
-        raise ConfigError(
-            f"packed rows have context {tokens.shape[1]}, "
-            f"model expects {config.context_length}")
+    config, packed = _load_run_inputs(args)
+    hp = _load_hyperparams(args.hyperparams)
     rows_per_batch = _derive_rows_per_batch(args, hp, config)
     model, schedule = _build_run(config, hp, rows_per_batch, args.seed)
     trainer_mod.check_detector(args.recovery_window, args.mad_mult, args.detector_window)
 
-    dirs = _run_dirs(args.out)
-    _snapshot_invocation(dirs, args, argv)
-    _write_json(dirs["config"] / "model_config.json", config.to_dict())
-    _write_json(dirs["config"] / "hyperparams.json", hyperparams_to_dict(hp))
-
+    dirs = _start_run(args, argv, {"model_config.json": config.to_dict(),
+                                   "hyperparams.json": hyperparams_to_dict(hp)})
     if args.save_initial:
         model.save(dirs["checkpoints"] / "initial.ckpt", step=0)
-    batches = trainer_mod.batch_iterator((tokens, segments), rows_per_batch,
-                                         args.steps, args.seed)
+    batches = trainer_mod.batch_iterator(packed, rows_per_batch, args.steps, args.seed)
     result = trainer_mod.train(
-        model, schedule, batches, args.steps,
-        detect=not args.no_spike_detection,
-        recovery_window=args.recovery_window,
-        mad_mult=args.mad_mult,
-        detector_window=args.detector_window,
-        stop_on_abort=not args.keep_going,
-        checkpoint_every=args.checkpoint_every,
-        checkpoint_dir=dirs["checkpoints"],
-    )
+        model, schedule, batches, args.steps, detect=not args.no_spike_detection,
+        recovery_window=args.recovery_window, mad_mult=args.mad_mult,
+        detector_window=args.detector_window, stop_on_abort=not args.keep_going,
+        checkpoint_every=args.checkpoint_every, checkpoint_dir=dirs["checkpoints"])
 
     trainer_mod.write_runlog(dirs["logs"] / "run_log.csv", result.log)
-    _write_json(dirs["logs"] / "events.json", [asdict(e) for e in result.events])
+    dio.write_json(dirs["logs"] / "events.json", [asdict(e) for e in result.events])
     steps_run = len(result.log)
     model.save(dirs["checkpoints"] / "final.ckpt", step=steps_run)
     summary = {
@@ -279,7 +265,7 @@ def cmd_train(args, argv):
         "params": model.num_params(),
         "rows_per_batch": rows_per_batch,
     }
-    _write_json(dirs["reports"] / "summary.json", summary)
+    dio.write_json(dirs["reports"] / "summary.json", summary)
     print(f"status: {result.status} after {steps_run} steps "
           f"({summary['tokens_seen']} tokens)")
     if result.log:
@@ -298,12 +284,11 @@ def cmd_train(args, argv):
 
 
 def cmd_grid_search(args, argv):
-    config = _load_config(args.config)
+    config, packed = _load_run_inputs(args)
     grid_spec = _load_json(args.grid)
     if not isinstance(grid_spec, list) or not grid_spec:
         raise ConfigError("--grid must be a non-empty JSON list of hyperparameter objects")
     hp_list = [hyperparams_from_dict(d).validate() for d in grid_spec]
-    tokens, segments, _ = corpus_mod.load_packed(args.data)
     rows = [_derive_rows_per_batch(args, hp, config) for hp in hp_list]
     if len(set(rows)) > 1:
         listing = ", ".join(f"candidate {i}: batch_size_tokens {hp.batch_tokens} -> {r} rows"
@@ -314,17 +299,13 @@ def cmd_grid_search(args, argv):
     for hp in hp_list:
         _build_run(config, hp, rows_per_batch, args.seed)
 
-    dirs = _run_dirs(args.out)
-    _snapshot_invocation(dirs, args, argv)
-    _write_json(dirs["config"] / "model_config.json", config.to_dict())
-    _write_json(dirs["config"] / "grid.json", grid_spec)
-
-    entries = trainer_mod.run_grid(config, hp_list, (tokens, segments),
-                                   args.steps, args.seed,
+    dirs = _start_run(args, argv, {"model_config.json": config.to_dict(),
+                                   "grid.json": grid_spec})
+    entries = trainer_mod.run_grid(config, hp_list, packed, args.steps, args.seed,
                                    rows_per_batch=rows_per_batch,
                                    out_dir=dirs["logs"])
     report = trainer_mod.grid_report(entries)
-    _write_json(dirs["reports"] / "grid_report.json", report)
+    dio.write_json(dirs["reports"] / "grid_report.json", report)
 
     print(f"{'rank':<6}{'score':>12}  {'status':<18}candidate")
     for i, e in enumerate(entries):
@@ -341,19 +322,14 @@ def cmd_grid_search(args, argv):
 
 
 def cmd_coord_check(args):
-    config = _load_config(args.config)
-    hp = _load_hyperparams(args.hyperparams).validate()
+    config, packed = _load_run_inputs(args)
+    hp = _load_hyperparams(args.hyperparams)
     widths = sorted({int(w) for w in args.widths.split(",") if w.strip()})
     if not widths:
         raise ConfigError("--widths must list at least one width")
-    tokens, segments, _ = corpus_mod.load_packed(args.data)
-    result = coordinate_check(config, hp, widths, args.steps,
-                              (tokens, segments), args.seed,
+    result = coordinate_check(config, hp, widths, args.steps, packed, args.seed,
                               rows_per_batch=args.rows_per_batch,
                               break_transfer=args.break_transfer)
-    if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        result.write_csv(args.out)
     base = widths[0]
     base_rms = result.max_rms[base]
     lines = [f"{'width':<8}{'max pre-logit RMS':>20}{'vs width ' + str(base):>16}  diverged"]
@@ -368,6 +344,8 @@ def cmd_coord_check(args):
                  f"(limit {args.rms_ratio_limit:g}x): "
                  + ("stable" if stable else "NOT stable"))
     if args.out:
+        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        result.write_csv(args.out)
         lines.append(f"wrote {args.out}")
     for line in lines:
         print(line)
@@ -541,9 +519,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "needs_argv", False):
-            return args.func(args, argv)
-        return args.func(args)
+        return args.func(args, argv) if args.needs_argv else args.func(args)
     except NonFiniteGradientError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -50,7 +50,7 @@ def read_jsonl(path) -> list[Document]:
 
 
 def write_jsonl(path, docs):
-    with open(path, "w", encoding="utf-8") as f:
+    with dio.atomic_open(path) as f:
         for d in docs:
             f.write(json.dumps({"id": d.id, "domain": d.domain, "text": d.text},
                                ensure_ascii=False, sort_keys=True) + "\n")
@@ -225,7 +225,7 @@ def dedup(docs, threshold: float = 0.8, k: int = 128, shingle_n: int = 5,
 
 
 def write_removal_log(path, removals):
-    with open(path, "w", encoding="utf-8") as f:
+    with dio.atomic_open(path) as f:
         for r in removals:
             f.write(json.dumps(asdict(r), sort_keys=True) + "\n")
 

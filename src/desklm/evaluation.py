@@ -14,11 +14,11 @@ counts are the raw UTF-8 size of the documents.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 
 from . import corpus as corpus_mod
+from . import io as dio
 from .errors import ConfigError
 from .model import Model, predicted_positions
 from .tensor import Tensor
@@ -122,17 +122,12 @@ class BpbReport:
                 "weight_profiles": self.weight_profiles}
 
     def save_json(self, path):
-        with open(path, "w") as f:
-            json.dump(self.to_dict(), f, sort_keys=True, indent=2)
-            f.write("\n")
+        dio.write_json(path, self.to_dict())
 
     def save_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["domain", "loss_nats", "token_count", "byte_count", "bpb"])
-            for r in self.rows:
-                w.writerow([r["domain"], repr(r["loss_nats"]), r["token_count"],
-                            r["byte_count"], repr(r["bpb"])])
+        dio.write_csv(path, ["domain", "loss_nats", "token_count", "byte_count", "bpb"], (
+            [r["domain"], repr(r["loss_nats"]), r["token_count"], r["byte_count"], repr(r["bpb"])]
+            for r in self.rows))
 
 
 def build_report(model, tokenizer, eval_sets, weight_profiles: dict | None = None,

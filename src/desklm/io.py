@@ -14,17 +14,20 @@ with offsets relative to the start of the data section.  Supported dtypes
 are "<f8" and "<i4".  Checkpoints and packed token files both use this
 container; see README for the exact meta fields each writer stores.
 
-Writes go to a temporary file beside the target that replaces it only once
-complete, so a crash never leaves a half-written container under the
-target's name.  Reads check the layout against the file's size and reject
-a truncated, padded or inconsistent file with :class:`CorruptFileError`.
+Every file the package writes goes through :func:`atomic_open`: a temporary
+file beside the target replaces it only once complete, so a crash never
+leaves a half-written file under the target's name.  Reads check the layout
+against the file's size and reject a truncated, padded or inconsistent file
+with :class:`CorruptFileError`.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +37,39 @@ from .errors import CorruptFileError
 _MAGIC = b"DLM1"
 _PREAMBLE = 12                  # magic plus the uint64 header length
 _DTYPES = {"<f8", "<i4"}
+
+
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write ``.<name>.<pid>.tmp`` beside ``path``; fsync it and ``os.replace``
+    ``path`` with it on a clean exit, remove it on any exception.  Text modes
+    write UTF-8 with no newline translation."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": ""}
+    try:
+        with open(tmp, mode, **text) as f:
+            yield f
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_json(path, obj) -> None:
+    """:func:`canonical_json` of ``obj`` plus a newline, written atomically."""
+    with atomic_open(path) as f:
+        f.write(canonical_json(obj) + "\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """A header row then ``rows``, CSV with CRLF line ends, written atomically."""
+    with atomic_open(path) as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
@@ -69,21 +105,12 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
         "arrays": entries,
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(_MAGIC)
-            f.write(len(header_bytes).to_bytes(8, "little"))
-            f.write(header_bytes)
-            for blob in blobs:
-                f.write(blob)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path, "wb") as f:
+        f.write(_MAGIC)
+        f.write(len(header_bytes).to_bytes(8, "little"))
+        f.write(header_bytes)
+        for blob in blobs:
+            f.write(blob)
 
 
 def load_arrays(path) -> tuple[dict, dict]:
@@ -109,6 +136,8 @@ def load_arrays(path) -> tuple[dict, dict]:
         version, meta, entries = header["format_version"], header["meta"], header["arrays"]
         if not isinstance(entries, list):
             raise TypeError(f"arrays is a {type(entries).__name__}, not a list")
+        if not isinstance(meta, dict):
+            raise TypeError(f"meta is a {type(meta).__name__}, not an object")
     except (ValueError, TypeError, KeyError) as e:
         raise CorruptFileError(f"{path}: unreadable header ({e!r})") from e
     if version != 1:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io as dio
 from . import tensor as T
-from .errors import ConfigError
+from .errors import ConfigError, CorruptFileError
 from .mup import HyperParams
 from .tensor import RngState, Tensor, trunc_normal
 
@@ -293,11 +293,12 @@ class Model:
         arrays, meta = dio.load_arrays(path)
         if meta.get("kind") != "checkpoint":
             raise ConfigError(f"{path} is not a model checkpoint")
-        if meta.get("checkpoint_version") != CHECKPOINT_VERSION:
-            raise ConfigError(f"unsupported checkpoint version {meta.get('checkpoint_version')}")
-        config = ModelConfig.from_dict(meta["config"])
-        mult = Multipliers(**meta["multipliers"])
-        params = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
-        model = cls(config, mult, params)
+        if (version := meta.get("checkpoint_version")) != CHECKPOINT_VERSION:
+            raise ConfigError(f"{path}: unsupported checkpoint version {version!r}")
+        try:
+            model = cls(ModelConfig.from_dict(meta["config"]), Multipliers(**meta["multipliers"]),
+                        {k: Tensor(v, requires_grad=True) for k, v in arrays.items()})
+        except (KeyError, TypeError, ConfigError) as e:
+            raise CorruptFileError(f"{path}: malformed checkpoint meta ({e!r})") from e
         model.loaded_step = meta.get("step", 0)
         return model

@@ -20,11 +20,11 @@ never changes across a width sweep.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace, asdict
 from enum import Enum
 
+from . import io as dio
 from .errors import ClassificationError, ConfigError
 from .tensor import RngState
 
@@ -189,11 +189,7 @@ class CoordCheckResult:
     max_rms: dict       # width -> max pre-logit RMS over steps
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["width", "step", "metric", "value"])
-            for row in self.rows:
-                w.writerow(row)
+        dio.write_csv(path, ["width", "step", "metric", "value"], self.rows)
 
 
 def coordinate_check(base_config, hp: HyperParams, widths, steps: int,

@@ -26,6 +26,8 @@ import json
 import re
 from collections import Counter, defaultdict
 
+from . import io as dio
+
 _CHUNK_RE = re.compile(r"\s+|\S+")
 TOKENIZER_VERSION = 1
 
@@ -165,7 +167,7 @@ class TokenizerModel:
         }
 
     def save(self, path):
-        with open(path, "w") as f:
+        with dio.atomic_open(path) as f:
             json.dump(self.to_dict(), f, sort_keys=True, indent=1)
             f.write("\n")
 

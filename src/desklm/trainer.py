@@ -13,6 +13,7 @@ import csv
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -154,12 +155,9 @@ RUNLOG_COLUMNS = ["step", "tokens", "loss", "grad_norm", "lr_vector", "lr_matrix
 
 
 def write_runlog(path, log):
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(RUNLOG_COLUMNS)
-        for row in log:
-            w.writerow([row.step, row.tokens, repr(row.loss), repr(row.grad_norm),
-                        repr(row.lr_vector), repr(row.lr_matrix), repr(row.wall_ms)])
+    dio.write_csv(path, RUNLOG_COLUMNS, (
+        [row.step, row.tokens, repr(row.loss), repr(row.grad_norm),
+         repr(row.lr_vector), repr(row.lr_matrix), repr(row.wall_ms)] for row in log))
 
 
 def read_runlog(path):
@@ -349,7 +347,7 @@ def train(model: Model, schedule: Schedule, batches, steps: int,
             skipped += 1
             continue
         if checkpoint_every and checkpoint_dir and (i + 1) % checkpoint_every == 0:
-            model.save(f"{checkpoint_dir}/step{i + 1:06d}.ckpt", step=i + 1)
+            model.save(Path(checkpoint_dir) / f"step{i + 1:06d}.ckpt", step=i + 1)
         if detect and len(log) >= recovery_window:
             window = log[-detector_window:]
             event = detect_spike(window, recovery_window, mad_mult)
@@ -468,8 +466,7 @@ def run_grid(base_config, hp_list, packed, steps: int, seed: int,
         score, final, nonmono, gpen = score_run(result.log, result.status)
         curve_path = None
         if out_dir is not None:
-            curve_path = str(out_dir / f"grid{idx:03d}.csv") if hasattr(out_dir, "__truediv__") \
-                else f"{out_dir}/grid{idx:03d}.csv"
+            curve_path = str(Path(out_dir) / f"grid{idx:03d}.csv")
             write_runlog(curve_path, result.log)
         entries.append(GridEntry(
             config=hyperparams_to_dict(hp), score=score, status=result.status,

@@ -234,6 +234,15 @@ def test_train_context_mismatch_is_usage_error(ws, tmp_path):
                 "--steps", "2", "--out", str(tmp_path / "r")]) == 2
 
 
+def packed_with_context(ws, tmp_path, context):
+    tok = TokenizerModel.load(ws / "tok.json")
+    docs = [tok.encode(d.text) for d in build_corpus(seed=41, target_bytes=3_000)]
+    tokens, segments = pack(docs, context, tok.specials["<pad>"])
+    path = tmp_path / f"ctx{context}.dlm"
+    save_packed(path, tokens, segments)
+    return path
+
+
 def test_train_exit_codes_for_bad_outcomes(ws, tmp_path, monkeypatch):
     def fake_train(*a, **k):
         return TrainResult(log=[], events=[], status="abort_recommended")
@@ -397,6 +406,19 @@ def test_grid_search_rejects_candidates_with_different_batch_tokens(ws, tmp_path
         assert [r.tokens for r in log] == [128, 256, 384]
 
 
+@pytest.mark.parametrize("context", [8, 32])
+def test_grid_search_context_mismatch_leaves_no_run_directory(ws, tmp_path, capsys, context):
+    data = packed_with_context(ws, tmp_path, context)
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps([json.loads((ws / "hp.json").read_text())]))
+    out = tmp_path / "g"
+    assert run(["grid-search", "--config", str(ws / "config.json"), "--grid", str(grid_path),
+                "--data", str(data), "--steps", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"context {context}" in err and "expects 16" in err
+    assert not out.exists()
+
+
 # -- coordinate check -----------------------------------------------------------------------
 
 def coord_config(ws, tmp_path):
@@ -428,6 +450,19 @@ def test_coord_check_strict_limit_fails(ws, tmp_path, capsys):
                 "--rows-per-batch", "2", "--rms-ratio-limit", "0.5"])
     assert code == 1
     assert "NOT stable" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("context", [8, 32])
+def test_coord_check_context_mismatch_writes_nothing(ws, tmp_path, capsys, context):
+    cfg = coord_config(ws, tmp_path)
+    out = tmp_path / "coord" / "coord.csv"
+    assert run(["coord-check", "--config", str(cfg), "--hyperparams", str(ws / "hp.json"),
+                "--widths", "16,32", "--steps", "1",
+                "--data", str(packed_with_context(ws, tmp_path, context)),
+                "--rows-per-batch", "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"context {context}" in err and "expects 16" in err
+    assert not out.parent.exists()
 
 
 def test_coord_check_rejects_empty_widths(ws, tmp_path):
@@ -498,6 +533,27 @@ def test_eval_bpb_rejects_truncated_checkpoint_by_name(ws, trained_run, tmp_path
                 "--eval", str(ws / "eval.jsonl")]) == 2
     err = capsys.readouterr().err
     assert str(cut) in err and "truncated" in err
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.pop("config"),
+    lambda m: m.pop("multipliers"),
+    lambda m: m["config"].update(bogus=1),
+    lambda m: m["config"].pop("hidden_size"),
+    lambda m: m.update(multipliers=[1.0, 1.0]),
+    lambda m: m["multipliers"].update(input_mult=-1.0),
+    lambda m: m.update(checkpoint_version=99),
+], ids=["no-config", "no-multipliers", "unknown-config-field", "missing-config-field",
+        "list-multipliers", "negative-multiplier", "unsupported-version"])
+def test_eval_bpb_rejects_malformed_checkpoint_meta_by_name(ws, trained_run, tmp_path,
+                                                            capsys, edit):
+    arrays, meta = dio.load_arrays(trained_run / "checkpoints" / "final.ckpt")
+    edit(meta)
+    bad = tmp_path / "bad.ckpt"
+    dio.save_arrays(bad, arrays, meta)
+    assert run(["eval-bpb", "--checkpoint", str(bad), "--tokenizer", str(ws / "tok.json"),
+                "--eval", str(ws / "eval.jsonl")]) == 2
+    assert str(bad) in capsys.readouterr().err
 
 
 # -- parser ------------------------------------------------------------------------------------

@@ -1,14 +1,19 @@
-"""DLM1 array container and synthetic corpus generation."""
+"""DLM1 array container, atomic writes of every output file, and synthetic corpus generation."""
 import json
 
 import numpy as np
 import pytest
 
 from desklm import io as dio
+from desklm.corpus import Document, Removal, write_jsonl, write_removal_log
 from desklm.errors import CorruptFileError
+from desklm.evaluation import BpbReport
 from desklm.io import canonical_json, load_arrays, save_arrays
+from desklm.mup import CoordCheckResult
 from desklm.synth import STYLES, build_corpus, make_document, mutate_words
 from desklm.tensor import RngState
+from desklm.tokenizer import train_bbpe
+from desklm.trainer import StepLog, write_runlog
 
 
 # -- container -----------------------------------------------------------------
@@ -104,7 +109,8 @@ def _with_header(good, edit):
     (lambda h: h["arrays"][0].update(shape=[2, 2]), "needs 32 bytes"),
     (lambda h: h["arrays"][0].pop("dtype"), "malformed array entry"),
     (lambda h: h.pop("arrays"), "unreadable header"),
-], ids=["nbytes", "offset", "shape", "no-dtype", "no-arrays"])
+    (lambda h: h.update(meta=[1]), "meta is a list"),
+], ids=["nbytes", "offset", "shape", "no-dtype", "no-arrays", "list-meta"])
 def test_inconsistent_header_is_rejected_by_name(tmp_path, edit, why):
     path, good = _small_container(tmp_path)
     path.write_bytes(_with_header(good, edit))
@@ -137,6 +143,65 @@ def test_interrupted_save_keeps_the_old_file_and_no_temp(tmp_path, monkeypatch):
         save_arrays(path, {"w": np.zeros((50, 50))}, {"kind": "unit"})
     assert path.read_bytes() == good
     assert sorted(p.name for p in tmp_path.iterdir()) == ["small.dlm"]
+
+
+def _disk_full_after(rows):
+    """Yield ``rows``, then fail the way a full disk fails a write."""
+    yield from rows
+    raise OSError("disk full")
+
+
+_BPB_ROW = {"domain": "english", "loss_nats": 1.5, "token_count": 3, "byte_count": 4, "bpb": 1.6}
+_STEP = StepLog(step=1, tokens=64, loss=2.5, grad_norm=0.5, lr_vector=1e-3, lr_matrix=2e-3,
+                wall_ms=3.0)
+_DOC = Document("d1", "english", "some text")
+_TOK = train_bbpe(["some text, some more text"], 260, specials=("<pad>",))
+
+# writer -> (write the file, write it again and fail part-way)
+WRITERS = {
+    "write_json": (lambda p: dio.write_json(p, {"a": 1}),
+                   lambda p: dio.write_json(p, {"a": 2, "b": object()})),
+    "write_csv": (lambda p: dio.write_csv(p, ["x"], [[1]]),
+                  lambda p: dio.write_csv(p, ["x"], _disk_full_after([[2]]))),
+    "write_runlog": (lambda p: write_runlog(p, [_STEP]),
+                     lambda p: write_runlog(p, _disk_full_after([_STEP, _STEP]))),
+    "BpbReport.save_json": (
+        lambda p: BpbReport([_BPB_ROW], {"direct_average": 1.6}).save_json(p),
+        lambda p: BpbReport([_BPB_ROW], {"direct_average": object()}).save_json(p)),
+    "BpbReport.save_csv": (
+        lambda p: BpbReport([_BPB_ROW], {}).save_csv(p),
+        lambda p: BpbReport(_disk_full_after([_BPB_ROW, _BPB_ROW]), {}).save_csv(p)),
+    "CoordCheckResult.write_csv": (
+        lambda p: CoordCheckResult([(16, 0, "loss", 1.0)], {}, {}).write_csv(p),
+        lambda p: CoordCheckResult(_disk_full_after([(16, 1, "loss", 0.5)]), {}, {}).write_csv(p)),
+    "write_jsonl": (lambda p: write_jsonl(p, [_DOC]),
+                    lambda p: write_jsonl(p, _disk_full_after([_DOC, _DOC]))),
+    "write_removal_log": (
+        lambda p: write_removal_log(p, [Removal("a", "b", 0.9)]),
+        lambda p: write_removal_log(p, _disk_full_after([Removal("c", "d", 0.8)]))),
+    "TokenizerModel.save": (lambda p: _TOK.save(p), lambda p: _broken_tokenizer().save(p)),
+}
+
+
+def _broken_tokenizer():
+    """A tokenizer whose specials, serialised after its merges, hold a value
+    JSON cannot encode, so its save fails part-way through the body."""
+    tok = train_bbpe(["some text, some more text"], 260, specials=("<pad>",))
+    tok.specials["<pad>"] = object()
+    return tok
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+def test_failed_write_keeps_the_old_file_and_no_temp(tmp_path, name):
+    write, fail = WRITERS[name]
+    path = tmp_path / "out.txt"
+    write(path)
+    before = path.read_bytes()
+    assert before and sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
+    with pytest.raises((OSError, TypeError)):
+        fail(path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
 
 
 def test_canonical_json_is_stable():

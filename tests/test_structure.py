@@ -93,3 +93,45 @@ def unread_parameters():
 
 def test_every_parameter_is_read():
     assert unread_parameters() == []
+
+
+# (module, function) pairs allowed to write a file without io.atomic_open.
+# append_bpb_curve appends to a curve file, which a temp file cannot do.
+WRITES_ALLOWED = {("evaluation", "append_bpb_curve")}
+
+
+def _write_mode(call: ast.Call):
+    """The mode of an ``open(path, mode)`` or ``<path>.open(mode)`` call, or
+    None when the call is neither."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        pos = 1
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        pos = 0
+    else:
+        return None
+    mode = call.args[pos] if len(call.args) > pos else next(
+        (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+    # a mode that is not a literal could be anything, so it counts as a write
+    return mode.value if isinstance(mode, ast.Constant) else "w"
+
+
+def writes_outside_io():
+    """Calls in src/desklm outside io.py that open a file for writing."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "io":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(fn, ast.FunctionDef) or (path.stem, fn.name) in WRITES_ALLOWED:
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    mode = _write_mode(node)
+                    if mode is not None and set(mode) & set("wax+"):
+                        found.append(f"{path.name}:{node.lineno} in {fn.name}")
+    return found
+
+
+def test_only_io_opens_files_for_writing():
+    assert writes_outside_io() == []
