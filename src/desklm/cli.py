@@ -32,8 +32,7 @@ from . import tokenizer as tok_mod
 from . import trainer as trainer_mod
 from .errors import ConfigError, NonFiniteGradientError
 from .model import Model, ModelConfig
-from .mup import (HyperParams, coordinate_check, hyperparams_from_dict,
-                  hyperparams_to_dict)
+from .mup import HyperParams, coordinate_check, hyperparams_to_dict
 from .tensor import RngState
 
 EXIT_OK = 0
@@ -44,11 +43,6 @@ EXIT_ABORT = 3
 
 # -- small shared helpers ----------------------------------------------------
 
-def _load_json(path):
-    with open(path) as f:
-        return json.load(f)
-
-
 def _emit(args, payload: dict, text_lines):
     """Print either canonical JSON (--json) or human-readable lines."""
     if getattr(args, "json", False):
@@ -58,10 +52,6 @@ def _emit(args, payload: dict, text_lines):
             print(line)
 
 
-def _load_hyperparams(path) -> HyperParams:
-    return hyperparams_from_dict(_load_json(path)).validate()
-
-
 def _docs_by_domain(docs):
     groups: dict[str, list[str]] = {}
     for d in docs:
@@ -69,10 +59,18 @@ def _docs_by_domain(docs):
     return groups
 
 
+def _check_weights(path, weights: dict, domains) -> dict:
+    """``weights``, read from ``path``, if it weighs exactly ``domains``."""
+    if sorted(weights) != sorted(domains):
+        raise ConfigError(f"{path}: weights for domains {sorted(weights)}, "
+                          f"but the documents have {sorted(domains)}")
+    return weights
+
+
 def _load_run_inputs(args):
     """The model config and packed ``(tokens, segments)`` of a run; raises
     ConfigError when the packed rows' context differs from the config's."""
-    config = ModelConfig.from_dict(_load_json(args.config))
+    config = dio.decode_record(ModelConfig, dio.read_json(args.config), args.config)
     tokens, segments, _ = corpus_mod.load_packed(args.data)
     if tokens.shape[1] != config.context_length:
         raise ConfigError(f"{args.data}: packed rows have context {tokens.shape[1]}, "
@@ -140,9 +138,12 @@ def cmd_tok_train(args):
 
 def cmd_tok_stats(args):
     tok = tok_mod.TokenizerModel.load(args.tokenizer)
-    docs = corpus_mod.read_jsonl(args.corpus)
-    weights = _load_json(args.weights) if args.weights else None
-    rows, weighted = tok_mod.compression_table(tok, _docs_by_domain(docs), weights)
+    groups = _docs_by_domain(corpus_mod.read_jsonl(args.corpus))
+    weights = None
+    if args.weights:
+        flat = dio.decode_record(dict[str, float], dio.read_json(args.weights), args.weights)
+        weights = _check_weights(args.weights, flat, groups)
+    rows, weighted = tok_mod.compression_table(tok, groups, weights)
     lines = [f"{'domain':<24}{'bytes':>12}{'tokens':>12}{'tokens/byte':>14}"]
     for r in rows:
         lines.append(f"{r['domain']:<24}{r['byte_count']:>12}"
@@ -185,7 +186,8 @@ def cmd_corpus_dedup(args):
 
 
 def cmd_corpus_plan(args):
-    manifest = corpus_mod.CorpusManifest.load(args.manifest)
+    manifest = dio.decode_record(corpus_mod.CorpusManifest, dio.read_json(args.manifest),
+                                 args.manifest)
     plan = corpus_mod.sample_plan(manifest, args.total_tokens)
     total = sum(q.quota for q in plan)
     lines = [f"{'domain':<24}{'quota':>16}{'available':>16}  feasible"]
@@ -235,7 +237,7 @@ def cmd_corpus_pack(args):
 
 def cmd_train(args, argv):
     config, packed = _load_run_inputs(args)
-    hp = _load_hyperparams(args.hyperparams)
+    hp = dio.decode_record(HyperParams, dio.read_json(args.hyperparams), args.hyperparams)
     rows_per_batch = _derive_rows_per_batch(args, hp, config)
     model, schedule = _build_run(config, hp, rows_per_batch, args.seed)
     trainer_mod.check_detector(args.recovery_window, args.mad_mult, args.detector_window)
@@ -285,10 +287,11 @@ def cmd_train(args, argv):
 
 def cmd_grid_search(args, argv):
     config, packed = _load_run_inputs(args)
-    grid_spec = _load_json(args.grid)
+    grid_spec = dio.read_json(args.grid)
     if not isinstance(grid_spec, list) or not grid_spec:
-        raise ConfigError("--grid must be a non-empty JSON list of hyperparameter objects")
-    hp_list = [hyperparams_from_dict(d).validate() for d in grid_spec]
+        raise ConfigError(f"{args.grid}: a grid is a non-empty list of hyperparameter objects")
+    hp_list = [dio.decode_record(HyperParams, d, f"{args.grid}: candidate {i}")
+               for i, d in enumerate(grid_spec)]
     rows = [_derive_rows_per_batch(args, hp, config) for hp in hp_list]
     if len(set(rows)) > 1:
         listing = ", ".join(f"candidate {i}: batch_size_tokens {hp.batch_tokens} -> {r} rows"
@@ -323,7 +326,7 @@ def cmd_grid_search(args, argv):
 
 def cmd_coord_check(args):
     config, packed = _load_run_inputs(args)
-    hp = _load_hyperparams(args.hyperparams)
+    hp = dio.decode_record(HyperParams, dio.read_json(args.hyperparams), args.hyperparams)
     widths = sorted({int(w) for w in args.widths.split(",") if w.strip()})
     if not widths:
         raise ConfigError("--widths must list at least one width")
@@ -356,25 +359,21 @@ def cmd_coord_check(args):
 
 # -- evaluation --------------------------------------------------------------
 
-def _parse_weight_profiles(raw):
-    """Accept {profile: {domain: w}} or a flat {domain: w} single profile."""
-    if raw is None:
-        return None
-    if not isinstance(raw, dict) or not raw:
-        raise ConfigError("weights file must be a non-empty JSON object")
-    if all(isinstance(v, dict) for v in raw.values()):
-        return raw
-    if all(isinstance(v, (int, float)) for v in raw.values()):
-        return {"weighted": raw}
-    raise ConfigError("weights file mixes profile objects and bare numbers")
+def _read_weight_profiles(path, domains) -> dict:
+    """``{profile: {domain: weight}}`` from ``path``, which holds that or one
+    flat ``{domain: weight}`` profile, named "weighted"."""
+    raw = dio.read_json(path)
+    if isinstance(raw, dict) and not any(isinstance(v, dict) for v in raw.values()):
+        raw = {"weighted": raw}
+    profiles = dio.decode_record(dict[str, dict[str, float]], raw, path)
+    return {name: _check_weights(path, w, domains) for name, w in profiles.items()}
 
 
 def cmd_eval_bpb(args):
     model = Model.load(args.checkpoint)
     tok = tok_mod.TokenizerModel.load(args.tokenizer)
-    docs = corpus_mod.read_jsonl(args.eval)
-    profiles = _parse_weight_profiles(_load_json(args.weights) if args.weights else None)
-    groups = _docs_by_domain(docs)
+    groups = _docs_by_domain(corpus_mod.read_jsonl(args.eval))
+    profiles = _read_weight_profiles(args.weights, groups) if args.weights else None
     eval_sets = [eval_mod.load_eval_set(name, groups[name], tok)
                  for name in sorted(groups)]
     report = eval_mod.build_report(model, tok, eval_sets,

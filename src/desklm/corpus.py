@@ -16,11 +16,12 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, asdict
+from pathlib import Path
 
 import numpy as np
 
 from . import io as dio
-from .errors import ConfigError, EmptyShingleError, PlanningError
+from .errors import ConfigError, CorruptFileError, EmptyShingleError, PlanningError
 
 
 @dataclass
@@ -31,22 +32,9 @@ class Document:
 
 
 def read_jsonl(path) -> list[Document]:
-    docs = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ConfigError(f"{path}:{line_no}: invalid JSON ({e})") from e
-            for k in ("id", "domain", "text"):
-                if k not in rec:
-                    raise ConfigError(f"{path}:{line_no}: missing field {k!r}")
-            docs.append(Document(id=str(rec["id"]), domain=str(rec["domain"]),
-                                 text=str(rec["text"])))
-    return docs
+    """The documents of a JSONL file, one per non-blank line."""
+    return [dio.decode_record(Document, dio.parse_json(line, f"{path}:{n}"), f"{path}:{n}")
+            for n, line in enumerate(Path(path).read_bytes().splitlines(), 1) if line.strip()]
 
 
 def write_jsonl(path, docs):
@@ -235,7 +223,7 @@ def write_removal_log(path, removals):
 @dataclass
 class DomainSpec:
     name: str
-    languages: list
+    languages: list[str]
     path: str
     sampling_prop: float
     epochs: float
@@ -246,7 +234,7 @@ class DomainSpec:
 
 @dataclass
 class CorpusManifest:
-    domains: list
+    domains: list[DomainSpec]
     total_token_budget: int
 
     def validate(self):
@@ -256,29 +244,17 @@ class CorpusManifest:
         if len(set(names)) != len(names):
             raise ConfigError("duplicate domain names in manifest")
         total = sum(d.sampling_prop for d in self.domains)
-        if abs(total - 1.0) > 1e-6:
+        if not abs(total - 1.0) <= 1e-6:
             raise ConfigError(f"sampling proportions sum to {total!r}, expected 1")
         for d in self.domains:
-            if d.sampling_prop < 0:
+            if not d.sampling_prop >= 0:
                 raise ConfigError(f"domain {d.name}: negative sampling_prop")
-            if d.epochs <= 0:
+            if not d.epochs > 0:
                 raise ConfigError(f"domain {d.name}: epochs must be positive")
         return self
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "CorpusManifest":
-        domains = [DomainSpec(**spec) for spec in d["domains"]]
-        return cls(domains=domains,
-                   total_token_budget=int(d["total_token_budget"])).validate()
-
-    @classmethod
-    def load(cls, path) -> "CorpusManifest":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
-
     def to_dict(self) -> dict:
-        return {"domains": [asdict(d) for d in self.domains],
-                "total_token_budget": self.total_token_budget}
+        return asdict(self)
 
 
 @dataclass
@@ -404,4 +380,9 @@ def load_packed(path):
     arrays, meta = dio.load_arrays(path)
     if meta.get("kind") != "packed":
         raise ConfigError(f"{path} is not a packed-token file")
+    got = {k: (a.dtype.str, a.shape) for k, a in arrays.items()}
+    shape = got.get("tokens", (None, ()))[1]
+    if len(shape) != 2 or got != {"tokens": ("<i4", shape), "segments": ("<i4", shape)}:
+        raise CorruptFileError(f"{path}: a packed file holds two 2-D <i4 arrays of one shape, "
+                               f"tokens and segments, not {got}")
     return arrays["tokens"], arrays["segments"], meta

@@ -13,9 +13,8 @@ counts are the raw UTF-8 size of the documents.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import corpus as corpus_mod
 from . import io as dio
@@ -118,8 +117,7 @@ class BpbReport:
     weight_profiles: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {"rows": self.rows, "aggregates": self.aggregates,
-                "weight_profiles": self.weight_profiles}
+        return asdict(self)
 
     def save_json(self, path):
         dio.write_json(path, self.to_dict())
@@ -159,19 +157,3 @@ def build_report(model, tokenizer, eval_sets, weight_profiles: dict | None = Non
         aggregates[f"weighted:{name}"] = weighted_sum(bpbs, [prof[d] for d in domains])
     return BpbReport(rows=rows, aggregates=aggregates, weight_profiles=profiles)
 
-
-def append_bpb_curve(path, tokens_seen: int, rows):
-    """Append per-domain BPB points to a long-format CSV
-    (tokens_seen, domain, bpb) suitable for plotting curves."""
-    header_needed = True
-    try:
-        with open(path) as f:
-            header_needed = not f.readline().strip()
-    except FileNotFoundError:
-        pass
-    with open(path, "a", newline="") as f:
-        w = csv.writer(f)
-        if header_needed:
-            w.writerow(["tokens_seen", "domain", "bpb"])
-        for r in rows:
-            w.writerow([tokens_seen, r["domain"], repr(r["bpb"])])

@@ -19,20 +19,26 @@ file beside the target replaces it only once complete, so a crash never
 leaves a half-written file under the target's name.  Reads check the layout
 against the file's size and reject a truncated, padded or inconsistent file
 with :class:`CorruptFileError`.
+
+Every JSON input is parsed by :func:`parse_json` and typed by
+:func:`decode_record`, whose errors name the file.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import json
 import math
 import os
+import typing
 from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptFileError
+from .errors import ConfigError, CorruptFileError
 
 _MAGIC = b"DLM1"
 _PREAMBLE = 12                  # magic plus the uint64 header length
@@ -179,3 +185,64 @@ def _read_entry(path, data, ent: dict, offset: int) -> np.ndarray:
 def canonical_json(obj) -> str:
     """Serialize ``obj`` deterministically (sorted keys, repr floats)."""
     return json.dumps(obj, sort_keys=True, indent=2)
+
+
+def _refuse(number: str):
+    raise ValueError(f"{number} is not a finite number")
+
+
+def parse_json(text, where):
+    """The JSON value of ``text`` (str or UTF-8 bytes), each number finite (no
+    NaN, Infinity or 1e999); each failure is a ConfigError starting ``where``."""
+    try:
+        return json.loads(text, parse_constant=_refuse,
+                          parse_float=lambda s: _refuse(s) if math.isinf(float(s)) else float(s))
+    except ValueError as e:     # JSONDecodeError and UnicodeDecodeError among them
+        raise ConfigError(f"{where}: not valid JSON ({e})") from e
+
+
+def read_json(path):
+    """The JSON value in the file ``path``; see :func:`parse_json`."""
+    return parse_json(Path(path).read_bytes(), path)
+
+
+@functools.cache
+def _fields(cls) -> dict:
+    """{JSON name: (field name, type, required)} of the dataclass ``cls``."""
+    hints = typing.get_type_hints(cls)
+    return {f.metadata.get("json", f.name): (f.name, hints[f.name], f.default is not None)
+            for f in dataclasses.fields(cls)}
+
+
+def decode_record(cls, obj, where):
+    """Decode the JSON value ``obj`` as ``cls``: a dataclass, ``X | None``,
+    ``list[X]``, ``dict[str, X]``, bool, int, float or str (an int passes for
+    a float, a bool only for a bool).  A dataclass takes an object with each
+    field, under its ``metadata["json"]`` name or its own, and no other; only
+    a field whose default is None may be absent.  Returns what the class's
+    ``validate()`` returns, if it has one.  Every error is a ConfigError
+    starting with ``where``."""
+    origin, args = typing.get_origin(cls), typing.get_args(cls)
+    if type(None) in args:                                  # X | None, in that order
+        return None if obj is None else decode_record(args[0], obj, where)
+    kind = origin or (dict if dataclasses.is_dataclass(cls) else cls)
+    if not (isinstance(obj, kind) and (kind is bool or not isinstance(obj, bool))
+            or kind is float and type(obj) is int):
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {type(obj).__name__}")
+    if origin is list:
+        return [decode_record(args[0], v, f"{where}[{i}]") for i, v in enumerate(obj)]
+    if origin is dict:
+        return {k: decode_record(args[1], v, f"{where}: {k}") for k, v in obj.items()}
+    if kind is not dict:
+        return obj
+    table = _fields(cls)
+    bad = {"unknown": sorted(obj.keys() - table.keys()),
+           "missing": sorted(k for k, (_, _, req) in table.items() if req and k not in obj)}
+    if any(bad.values()):
+        raise ConfigError(f"{where}: " + ", ".join(f"{k} fields {v}" for k, v in bad.items() if v))
+    record = cls(**{table[k][0]: decode_record(table[k][1], v, f"{where}: {k}")
+                    for k, v in obj.items()})
+    try:
+        return record.validate() if hasattr(record, "validate") else record
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from e

@@ -18,7 +18,7 @@ import numpy as np
 from . import io as dio
 from . import tensor as T
 from .errors import ConfigError, CorruptFileError
-from .mup import HyperParams
+from .mup import HyperParams, Multipliers, ParamClass, classify
 from .tensor import RngState, Tensor, trunc_normal
 
 CHECKPOINT_VERSION = 1
@@ -38,17 +38,18 @@ class ModelConfig:
     dropout_rate: float = 0.0
 
     def validate(self):
+        # "not <ok>" rejects NaN
         for name in ("layer_num", "attention_heads", "hidden_size",
                      "ffn_hidden_size", "vocab_size", "context_length"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive")
         if self.hidden_size % self.attention_heads != 0:
             raise ConfigError("hidden_size must be divisible by attention_heads")
         if self.head_dim % 2 != 0:
             raise ConfigError("head dim must be even for rotary embeddings")
-        if self.rope_theta <= 0:
+        if not self.rope_theta > 0:
             raise ConfigError("rope_theta must be positive")
-        if self.norm_eps < 0:
+        if not self.norm_eps >= 0:
             raise ConfigError("norm_eps must be >= 0")
         if self.attn_scale_mode not in ("mup", "standard"):
             raise ConfigError(f"unknown attn_scale_mode {self.attn_scale_mode!r}")
@@ -63,26 +64,17 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**d).validate()
 
-
-@dataclass
-class Multipliers:
-    """Scalar multipliers on the embedding output and the pre-softmax
-    hidden states.  Zero is degenerate but allowed: output_mult=0 makes
-    every logit exactly zero, which is useful as a uniform-prediction probe.
-    """
-    input_mult: float
-    output_mult: float
-
-    def validate(self):
-        for name in ("input_mult", "output_mult"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be finite and >= 0")
-        return self
+def param_shapes(config: ModelConfig) -> dict:
+    """The ordered ``{role name: shape}`` table of a config's parameters:
+    the ones :meth:`Model.build` makes and a checkpoint must hold."""
+    d, f, v = config.hidden_size, config.ffn_hidden_size, config.vocab_size
+    block = {"attn_norm.gain": (d,), "attn.wq": (d, d), "attn.wk": (d, d), "attn.wv": (d, d),
+             "attn.wo": (d, d), "ffn_norm.gain": (d,), "ffn.w_gate": (d, f),
+             "ffn.w_up": (d, f), "ffn.w_down": (f, d)}
+    return {"embedding": (v, d),
+            **{f"layers.{i}.{k}": s for i in range(config.layer_num) for k, s in block.items()},
+            "final_norm.gain": (d,), "final_norm.bias": (d,), "lm_head": (d, v)}
 
 
 def count_params(config: ModelConfig) -> int:
@@ -92,9 +84,7 @@ def count_params(config: ModelConfig) -> int:
     + L * (4*d^2 attention + 3*d*f SwiGLU + 2*d block norm gains)
     + 2*d final LayerNorm gain and bias.
     """
-    d, f = config.hidden_size, config.ffn_hidden_size
-    per_layer = 4 * d * d + 3 * d * f + 2 * d
-    return 2 * config.vocab_size * d + config.layer_num * per_layer + 2 * d
+    return sum(math.prod(shape) for shape in param_shapes(config).values())
 
 
 def attention_bias(segments: np.ndarray) -> np.ndarray:
@@ -145,38 +135,25 @@ class Model:
 
     @classmethod
     def build(cls, config: ModelConfig, hp: HyperParams, rng: RngState) -> "Model":
-        """Initialize from hyperparameters: matrix-like weights get
-        trunc_normal(0, matrix_std), embedding and lm head get
-        trunc_normal(0, vector_std), norm gains 1 and biases 0.  The
-        rotary base comes from ``config``; ``hp.rope_theta`` must match it.
-        """
-        config.validate()
+        """Initialize in :func:`param_shapes` order: matrix-like weights get
+        trunc_normal(0, matrix_std), embedding and lm head trunc_normal(0,
+        vector_std), norm gains 1 and biases 0.  The rotary base comes from
+        ``config``; ``hp.rope_theta`` must match it."""
         if hp.rope_theta != config.rope_theta:
             raise ConfigError(
                 f"hyperparameter rope_theta {hp.rope_theta!r} differs from "
                 f"model config rope_theta {config.rope_theta!r}")
-        d, f, v = config.hidden_size, config.ffn_hidden_size, config.vocab_size
-
-        def p(arr):
-            return Tensor(arr, requires_grad=True)
-
         params = {}
-        params["embedding"] = p(trunc_normal((v, d), 0.0, hp.vector_std, rng))
-        for i in range(config.layer_num):
-            pre = f"layers.{i}"
-            params[f"{pre}.attn_norm.gain"] = p(np.ones(d))
-            for w in ("wq", "wk", "wv", "wo"):
-                params[f"{pre}.attn.{w}"] = p(trunc_normal((d, d), 0.0, hp.matrix_std, rng))
-            params[f"{pre}.ffn_norm.gain"] = p(np.ones(d))
-            params[f"{pre}.ffn.w_gate"] = p(trunc_normal((d, f), 0.0, hp.matrix_std, rng))
-            params[f"{pre}.ffn.w_up"] = p(trunc_normal((d, f), 0.0, hp.matrix_std, rng))
-            params[f"{pre}.ffn.w_down"] = p(trunc_normal((f, d), 0.0, hp.matrix_std, rng))
-        params["final_norm.gain"] = p(np.ones(d))
-        params["final_norm.bias"] = p(np.zeros(d))
-        params["lm_head"] = p(trunc_normal((d, v), 0.0, hp.vector_std, rng))
-
-        mult = Multipliers(input_mult=hp.input_mult, output_mult=hp.output_mult)
-        return cls(config, mult, params)
+        for name, shape in param_shapes(config).items():
+            if name.endswith(".gain"):
+                arr = np.ones(shape)
+            elif name.endswith(".bias"):
+                arr = np.zeros(shape)
+            else:
+                std = hp.matrix_std if classify(name) is ParamClass.MATRIX else hp.vector_std
+                arr = trunc_normal(shape, 0.0, std, rng)
+            params[name] = Tensor(arr, requires_grad=True)
+        return cls(config, Multipliers(hp.input_mult, hp.output_mult), params)
 
     def zero_grads(self):
         for t in self.params.values():
@@ -295,10 +272,13 @@ class Model:
             raise ConfigError(f"{path} is not a model checkpoint")
         if (version := meta.get("checkpoint_version")) != CHECKPOINT_VERSION:
             raise ConfigError(f"{path}: unsupported checkpoint version {version!r}")
-        try:
-            model = cls(ModelConfig.from_dict(meta["config"]), Multipliers(**meta["multipliers"]),
-                        {k: Tensor(v, requires_grad=True) for k, v in arrays.items()})
-        except (KeyError, TypeError, ConfigError) as e:
-            raise CorruptFileError(f"{path}: malformed checkpoint meta ({e!r})") from e
+        config = dio.decode_record(ModelConfig, meta.get("config"), f"{path}: config")
+        mult = dio.decode_record(Multipliers, meta.get("multipliers"), f"{path}: multipliers")
+        want = {k: ("<f8", shape) for k, shape in param_shapes(config).items()}
+        got = {k: (a.dtype.str, a.shape) for k, a in arrays.items()}
+        if got != want:
+            raise CorruptFileError(f"{path}: holds arrays {sorted(got.items() - want.items())} "
+                                   f"where its config needs {sorted(want.items() - got.items())}")
+        model = cls(config, mult, {k: Tensor(arrays[k], requires_grad=True) for k in want})
         model.loaded_step = meta.get("step", 0)
         return model

@@ -21,7 +21,7 @@ never changes across a width sweep.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace, asdict
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 from . import io as dio
@@ -53,88 +53,76 @@ def classify(param_role: str) -> ParamClass:
 
 
 @dataclass
+class Multipliers:
+    """Scalar multipliers on the embedding output and the pre-softmax
+    hidden states.  Zero is degenerate but allowed: output_mult=0 makes
+    every logit exactly zero, which is useful as a uniform-prediction probe.
+    """
+    input_mult: float
+    output_mult: float
+
+    def validate(self):
+        for name in ("input_mult", "output_mult"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0")
+        return self
+
+
+@dataclass
 class HyperParams:
     """Searched and fixed training hyperparameters.
 
     The searched seven: two learning rates, min lr, two init stds, and the
     two multipliers.  The rest ride along unchanged through width transfer.
+    JSON names (``metadata["json"]``) follow the published table, snake_cased.
     """
 
-    vector_lr: float
-    matrix_lr: float
-    min_lr: float
-    vector_std: float
-    matrix_std: float
+    vector_lr: float = field(metadata={"json": "learning_rate"})
+    matrix_lr: float = field(metadata={"json": "matrix_learning_rate"})
+    min_lr: float = field(metadata={"json": "minimum_learning_rate"})
+    vector_std: float = field(metadata={"json": "standard_deviation"})
+    matrix_std: float = field(metadata={"json": "matrix_standard_deviation"})
     input_mult: float
     output_mult: float
-    schedule_type: str = "cosine"
-    schedule_tokens: int = 2_500_000_000_000
-    warmup_steps: int = 2_000
+    schedule_type: str = field(default="cosine", metadata={"json": "lr_schedule_type"})
+    schedule_tokens: int = field(default=2_500_000_000_000, metadata={"json": "lr_schedule_tokens"})
+    warmup_steps: int = field(default=2_000, metadata={"json": "warmup_step"})
     clip_grad: float = 1.0
     weight_decay: float = 0.0
-    batch_tokens: int = 5_505_024
+    batch_tokens: int = field(default=5_505_024, metadata={"json": "batch_size_tokens"})
     rope_theta: float = 10_000.0
 
     def validate(self):
-        # lr = 0 is allowed: a zero-rate run is the cheapest way to probe that
-        # the optimizer path is a no-op (checkpoint before == checkpoint after).
-        if self.vector_lr < 0 or self.matrix_lr < 0:
+        # "not <ok>" rejects NaN.  lr = 0 is allowed: a zero-rate run is the cheapest
+        # way to probe that the optimizer path is a no-op (checkpoint before == after).
+        if not (self.vector_lr >= 0 and self.matrix_lr >= 0):
             raise ConfigError("learning rates must be >= 0")
-        if self.min_lr < 0 or self.min_lr > max(self.vector_lr, self.matrix_lr):
+        if not 0 <= self.min_lr <= max(self.vector_lr, self.matrix_lr):
             raise ConfigError("min_lr must lie in [0, max(vector_lr, matrix_lr)]")
-        if self.vector_std <= 0 or self.matrix_std <= 0:
+        if not (self.vector_std > 0 and self.matrix_std > 0):
             raise ConfigError("init stds must be positive")
-        for name in ("input_mult", "output_mult"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ConfigError(f"{name} must be finite and >= 0")
+        Multipliers(self.input_mult, self.output_mult).validate()
         if self.schedule_type != "cosine":
             raise ConfigError(f"unsupported schedule_type {self.schedule_type!r}")
-        if self.schedule_tokens <= 0 or self.batch_tokens <= 0:
+        if not (self.schedule_tokens > 0 and self.batch_tokens > 0):
             raise ConfigError("schedule_tokens and batch_tokens must be positive")
-        if self.warmup_steps < 0:
+        if not self.warmup_steps >= 0:
             raise ConfigError("warmup_steps must be >= 0")
-        if self.warmup_steps * self.batch_tokens >= self.schedule_tokens:
+        if not self.warmup_steps * self.batch_tokens < self.schedule_tokens:
             raise ConfigError("warmup must end before the schedule does")
-        if self.clip_grad <= 0:
+        if not self.clip_grad > 0:
             raise ConfigError("clip_grad must be positive")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ConfigError("weight_decay must be >= 0")
+        if not self.rope_theta > 0:
+            raise ConfigError("rope_theta must be positive")
         return self
 
 
-# JSON field names follow the published hyperparameter table, snake_cased.
-_JSON_KEYS = {
-    "vector_lr": "learning_rate",
-    "matrix_lr": "matrix_learning_rate",
-    "min_lr": "minimum_learning_rate",
-    "vector_std": "standard_deviation",
-    "matrix_std": "matrix_standard_deviation",
-    "input_mult": "input_mult",
-    "output_mult": "output_mult",
-    "schedule_type": "lr_schedule_type",
-    "schedule_tokens": "lr_schedule_tokens",
-    "warmup_steps": "warmup_step",
-    "clip_grad": "clip_grad",
-    "weight_decay": "weight_decay",
-    "batch_tokens": "batch_size_tokens",
-    "rope_theta": "rope_theta",
-}
-_FROM_JSON = {v: k for k, v in _JSON_KEYS.items()}
-
-
 def hyperparams_to_dict(hp: HyperParams) -> dict:
-    return {_JSON_KEYS[k]: v for k, v in asdict(hp).items()}
-
-
-def hyperparams_from_dict(d: dict) -> HyperParams:
-    unknown = set(d) - set(_FROM_JSON)
-    if unknown:
-        raise ConfigError(f"unknown hyperparameter fields: {sorted(unknown)}")
-    missing = set(_FROM_JSON) - set(d)
-    if missing:
-        raise ConfigError(f"missing hyperparameter fields: {sorted(missing)}")
-    return HyperParams(**{_FROM_JSON[k]: v for k, v in d.items()}).validate()
+    """``hp`` under its JSON field names."""
+    return {f.metadata.get("json", f.name): getattr(hp, f.name) for f in fields(hp)}
 
 
 @dataclass(frozen=True)
@@ -155,16 +143,13 @@ def transfer(hp: HyperParams, widths: WidthPair) -> HyperParams:
     Identity at ratio 1; compositional across chained width pairs.
     """
     r = widths.ratio
-    if r <= 0:
-        raise ConfigError(f"width ratio must be positive, got {r}")
-    out = replace(
+    return replace(
         hp,
         matrix_lr=hp.matrix_lr / r,
         min_lr=hp.min_lr / r,
         matrix_std=hp.matrix_std / math.sqrt(r),
         output_mult=hp.output_mult / r,
     )
-    return out
 
 
 def scaled_config(base_config, width: int):

@@ -25,6 +25,7 @@ import heapq
 import json
 import re
 from collections import Counter, defaultdict
+from dataclasses import dataclass
 
 from . import io as dio
 
@@ -172,23 +173,28 @@ class TokenizerModel:
             f.write("\n")
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TokenizerModel":
-        if d.get("version") != TOKENIZER_VERSION:
-            raise ValueError(f"unsupported tokenizer version {d.get('version')}")
-        vocab_map = d["vocab"]
-        vocab = []
-        for i in range(len(vocab_map)):
-            hexed = vocab_map.get(str(i))
-            if hexed is None:
-                raise ValueError(f"vocab ids are not dense: missing id {i}")
-            vocab.append(bytes.fromhex(hexed))
-        return cls(vocab, [tuple(m) for m in d["merges"]], d["specials"],
-                   word_split=d.get("word_split", False))
-
-    @classmethod
     def load(cls, path) -> "TokenizerModel":
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
+        return dio.decode_record(_SavedTokenizer, dio.read_json(path), path)
+
+
+@dataclass
+class _SavedTokenizer:
+    """A tokenizer file, as :meth:`TokenizerModel.to_dict` writes it."""
+    version: int
+    word_split: bool
+    specials: dict[str, int]
+    vocab: dict[str, str]
+    merges: list[list[int]]
+
+    def validate(self) -> TokenizerModel:
+        """The model the record describes, which ``decode_record`` returns."""
+        if self.version != TOKENIZER_VERSION:
+            raise ValueError(f"unsupported tokenizer version {self.version}")
+        hexed = [self.vocab.get(str(i)) for i in range(len(self.vocab))]
+        if None in hexed:
+            raise ValueError(f"vocab ids are not dense: missing id {hexed.index(None)}")
+        return TokenizerModel([bytes.fromhex(h) for h in hexed], self.merges, self.specials,
+                              self.word_split)
 
 
 def _initial_words(corpus, word_split: bool) -> Counter:

@@ -458,7 +458,6 @@ def run_grid(base_config, hp_list, packed, steps: int, seed: int,
     """
     entries = []
     for idx, hp in enumerate(hp_list):
-        hp.validate()
         model = Model.build(base_config, hp, RngState(seed))
         schedule = Schedule.for_rows(hp, rows_per_batch, base_config.context_length)
         batches = batch_iterator(packed, rows_per_batch, steps, seed)

@@ -1,6 +1,7 @@
 """End-to-end CLI: every subcommand, exit codes, run-directory layout."""
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from desklm import io as dio
 from desklm import trainer as trainer_mod
 from desklm.corpus import (Document, load_packed, pack, save_packed,
                            write_jsonl)
-from desklm.model import Model
+from desklm.model import Model, ModelConfig
 from desklm.mup import hyperparams_to_dict
 from desklm.presets import (reference_manifest, toy_config, toy_hyperparams)
 from desklm.synth import STYLES, build_corpus
+from desklm.tensor import RngState
 from desklm.tokenizer import TokenizerModel, train_bbpe
 from desklm.trainer import GridEntry, TrainResult
 
@@ -554,6 +556,197 @@ def test_eval_bpb_rejects_malformed_checkpoint_meta_by_name(ws, trained_run, tmp
     assert run(["eval-bpb", "--checkpoint", str(bad), "--tokenizer", str(ws / "tok.json"),
                 "--eval", str(ws / "eval.jsonl")]) == 2
     assert str(bad) in capsys.readouterr().err
+
+
+# -- malformed inputs ----------------------------------------------------------------------------
+#
+# Every file a command reads, mutated: each required field dropped, an unknown
+# field added, each field given wrong types (a bool for a number, NaN among
+# them), a non-object top level, and the file truncated.  Each case must exit
+# 2 with the file's path on stderr, raise nothing out of main (no traceback)
+# and leave no output behind.  Nothing here trains.
+
+WRONG = {str: [7, None], int: [True, 1.5, "3"], float: [True, "0.5", math.nan],
+         bool: [1], list: [{}], dict: [[]], type(None): [True]}
+
+
+def object_mutations(obj):
+    """(label, value) pairs: the JSON object ``obj`` as a list, with an
+    unknown field, without each field that is not None (those are
+    optional), and with each field given each wrong value of WRONG."""
+    yield "list", [obj]
+    yield "unknown field", {**obj, "bogus": 1}
+    for k, v in obj.items():
+        if v is not None:
+            yield f"no {k}", {x: y for x, y in obj.items() if x != k}
+        for bad in WRONG[type(v)]:
+            yield f"{k}={bad!r}", {**obj, k: bad}
+
+
+def json_cases(obj, variants=None):
+    """(label, bytes): ``obj`` truncated, then each variant (by default the
+    object mutations of ``obj``) as JSON."""
+    text = json.dumps(obj)
+    yield "truncated", text[:len(text) // 2].encode()
+    for label, value in object_mutations(obj) if variants is None else variants:
+        yield label, json.dumps(value).encode()
+
+
+def dlm_bytes(tmp_path, arrays, meta):
+    dio.save_arrays(tmp_path / "scratch.dlm", arrays, meta)
+    return (tmp_path / "scratch.dlm").read_bytes()
+
+
+def not_rejected(capsys, argv, path, out, cases):
+    """{label: what happened} for each (label, bytes) of ``cases`` that,
+    written to ``path``, ``argv`` fails to reject by name."""
+    failed = {}
+    for label, content in cases:
+        path.write_bytes(content)
+        capsys.readouterr()
+        try:
+            code = run(argv)
+        except Exception as e:      # reported, not raised, so one run lists every case
+            failed[label] = f"raised {e!r}"[:160]
+            continue
+        err = capsys.readouterr().err
+        if code != 2 or str(path) not in err or "Traceback" in err or out.exists():
+            failed[label] = f"exit {code}, out {out.exists()}: {err.strip()[:120]}"
+            if out.is_dir():
+                shutil.rmtree(out)
+            else:
+                out.unlink(missing_ok=True)
+    return failed
+
+
+def train_argv(ws, tmp_path, **files):
+    paths = {"config": ws / "config.json", "hyperparams": ws / "hp.json",
+             "data": ws / "packed.dlm", **files}
+    return ["train", "--steps", "1", "--out", str(tmp_path / "run")] + [
+        a for k, v in paths.items() for a in (f"--{k}", str(v))]
+
+
+def test_malformed_model_config_is_rejected_by_name(ws, tmp_path, capsys):
+    path = tmp_path / "config.json"
+    config = json.loads((ws / "config.json").read_text())
+    assert not_rejected(capsys, train_argv(ws, tmp_path, config=path), path,
+                        tmp_path / "run", json_cases(config)) == {}
+
+
+def test_malformed_hyperparams_are_rejected_by_name(ws, tmp_path, capsys):
+    path = tmp_path / "hp.json"
+    hp = json.loads((ws / "hp.json").read_text())
+    assert not_rejected(capsys, train_argv(ws, tmp_path, hyperparams=path), path,
+                        tmp_path / "run", json_cases(hp)) == {}
+
+
+def test_malformed_grid_is_rejected_by_name(ws, tmp_path, capsys):
+    path, out = tmp_path / "grid.json", tmp_path / "run"
+    hp = json.loads((ws / "hp.json").read_text())
+    variants = [("object", hp), ("empty", [])] + [
+        (f"candidate 1: {label}", [hp, v]) for label, v in object_mutations(hp)]
+    argv = ["grid-search", "--config", str(ws / "config.json"), "--grid", str(path),
+            "--data", str(ws / "packed.dlm"), "--steps", "1", "--out", str(out)]
+    assert not_rejected(capsys, argv, path, out, json_cases([hp, hp], variants)) == {}
+
+
+def test_malformed_manifest_is_rejected_by_name(ws, tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    manifest = reference_manifest().to_dict()
+    domains = manifest["domains"]
+    variants = list(object_mutations(manifest)) + [
+        (f"domain 0: {label}", {**manifest, "domains": [v] + domains[1:]})
+        for label, v in object_mutations(domains[0])]
+    assert not_rejected(capsys, ["corpus-plan", "--manifest", str(path)], path,
+                        tmp_path / "none", json_cases(manifest, variants)) == {}
+
+
+@pytest.fixture(scope="module")
+def untrained_ckpt(ws, tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "init.ckpt"
+    config = ModelConfig(**json.loads((ws / "config.json").read_text()))
+    Model.build(config, toy_hyperparams(), RngState(0)).save(path)
+    return path
+
+
+def test_malformed_weights_are_rejected_by_name(ws, untrained_ckpt, tmp_path, capsys):
+    path = tmp_path / "w.json"
+    flat = {s: 1 / len(STYLES) for s in STYLES}
+    tok_stats = ["tok-stats", "--tokenizer", str(ws / "tok.json"),
+                 "--corpus", str(ws / "corpus.jsonl"), "--weights", str(path)]
+    eval_bpb = ["eval-bpb", "--checkpoint", str(untrained_ckpt), "--tokenizer",
+                str(ws / "tok.json"), "--eval", str(ws / "eval.jsonl"),
+                "--weights", str(path), "--out", str(tmp_path / "report.json")]
+    nested = [(f"profile p: {label}", {"p": v}) for label, v in object_mutations(flat)]
+    assert not_rejected(capsys, tok_stats, path, tmp_path / "none", json_cases(flat)) == {}
+    assert not_rejected(capsys, eval_bpb, path, tmp_path / "report.json",
+                        json_cases(flat, list(object_mutations(flat)) + nested)) == {}
+
+
+def test_malformed_tokenizer_is_rejected_by_name(ws, tmp_path, capsys):
+    path, out = tmp_path / "tok.json", tmp_path / "packed.dlm"
+    tok = json.loads((ws / "tok.json").read_text())
+    variants = list(object_mutations(tok)) + [
+        ("vocab id 0 an int", {**tok, "vocab": {**tok["vocab"], "0": 5}}),
+        ("vocab id 0 not hex", {**tok, "vocab": {**tok["vocab"], "0": "zz"}}),
+        ("merge 0 a triple", {**tok, "merges": [[97, 98, 99]] + tok["merges"][1:]}),
+        ("merge 0 of strings", {**tok, "merges": [["a", "b"]] + tok["merges"][1:]})]
+    argv = ["corpus-pack", "--corpus", str(ws / "corpus.jsonl"), "--tokenizer", str(path),
+            "--context-length", "16", "--out", str(out)]
+    assert not_rejected(capsys, argv, path, out, json_cases(tok, variants)) == {}
+
+
+def test_malformed_corpus_line_is_rejected_by_name(ws, tmp_path, capsys):
+    path, out = tmp_path / "corpus.jsonl", tmp_path / "clean.jsonl"
+    lines = (ws / "corpus.jsonl").read_text(encoding="utf-8").splitlines()[:3]
+    doc = json.loads(lines[1])
+    cases = [("truncated", "\n".join(lines).encode()[:len("\n".join(lines)) // 2]),
+             ("line 2 not JSON", f"{lines[0]}\nnot json\n".encode())] + [
+        (f"line 2: {label}", f"{lines[0]}\n{json.dumps(v)}\n{lines[2]}\n".encode())
+        for label, v in object_mutations(doc)]
+    argv = ["corpus-dedup", "--corpus", str(path), "--out", str(out)]
+    assert not_rejected(capsys, argv, path, out, cases) == {}
+
+
+def test_malformed_packed_file_is_rejected_by_name(ws, tmp_path, capsys):
+    path = tmp_path / "packed.dlm"
+    tokens, segments, meta = load_packed(ws / "packed.dlm")
+    good = (ws / "packed.dlm").read_bytes()
+    variants = {
+        "no tokens": {"segments": segments},
+        "no segments": {"tokens": tokens},
+        "an extra array": {"tokens": tokens, "segments": segments, "extra": tokens},
+        "1-D arrays": {"tokens": tokens.ravel(), "segments": segments.ravel()},
+        "float64 tokens": {"tokens": tokens.astype(np.float64), "segments": segments},
+        "segments of another shape": {"tokens": tokens, "segments": segments[:-1]},
+    }
+    cases = [("truncated", good[:len(good) // 2]),
+             ("kind checkpoint", dlm_bytes(tmp_path, {"tokens": tokens, "segments": segments},
+                                           {**meta, "kind": "checkpoint"}))] + [
+        (label, dlm_bytes(tmp_path, arrays, meta)) for label, arrays in variants.items()]
+    assert not_rejected(capsys, train_argv(ws, tmp_path, data=path), path,
+                        tmp_path / "run", cases) == {}
+
+
+def test_malformed_checkpoint_is_rejected_by_name(ws, untrained_ckpt, tmp_path, capsys):
+    path, out = tmp_path / "bad.ckpt", tmp_path / "report.json"
+    arrays, meta = dio.load_arrays(untrained_ckpt)
+    good = untrained_ckpt.read_bytes()
+    variants = [(f"no {k}", {n: a for n, a in arrays.items() if n != k}) for k in arrays] + [
+        ("an extra array", {**arrays, "extra": arrays["lm_head"]}),
+        ("lm_head transposed", {**arrays, "lm_head": arrays["lm_head"].T.copy()}),
+        ("int32 embedding", {**arrays, "embedding": arrays["embedding"].astype(np.int32)})]
+    metas = [(f"config: {label}", {**meta, "config": v})
+             for label, v in object_mutations(meta["config"])] + [
+        (f"multipliers: {label}", {**meta, "multipliers": v})
+        for label, v in object_mutations(meta["multipliers"])] + [
+        (f"no {k}", {m: v for m, v in meta.items() if m != k}) for k in ("config", "multipliers")]
+    cases = [("truncated", good[:len(good) // 2])] + [
+        (label, dlm_bytes(tmp_path, a, meta)) for label, a in variants] + [
+        (label, dlm_bytes(tmp_path, arrays, m)) for label, m in metas]
+    argv = ["eval-bpb", "--checkpoint", str(path), "--tokenizer", str(ws / "tok.json"),
+            "--eval", str(ws / "eval.jsonl"), "--out", str(out)]
+    assert not_rejected(capsys, argv, path, out, cases) == {}
 
 
 # -- parser ------------------------------------------------------------------------------------

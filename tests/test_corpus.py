@@ -300,7 +300,7 @@ def test_manifest_round_trip(tmp_path):
     path = tmp_path / "manifest.json"
     import json
     path.write_text(json.dumps(m.to_dict()))
-    back = CorpusManifest.load(path)
+    back = dio.decode_record(CorpusManifest, dio.read_json(path), path)
     assert back == m
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from desklm.errors import ConfigError
-from desklm.evaluation import (BpbReport, append_bpb_curve, bpb, build_report,
+from desklm.evaluation import (BpbReport, bpb, build_report,
                                direct_average, domain_loss, load_eval_set,
                                weighted_sum)
 from desklm.corpus import pack
@@ -242,13 +242,3 @@ def test_report_persistence(tmp_path):
     assert float(rows[0]["loss_nats"]) == 1.23456789012345
     assert float(rows[0]["bpb"]) == 0.890123456789
 
-
-def test_append_bpb_curve(tmp_path):
-    path = tmp_path / "curve.csv"
-    rows = [{"domain": "a", "bpb": 0.5}, {"domain": "b", "bpb": 0.75}]
-    append_bpb_curve(path, 1000, rows)
-    append_bpb_curve(path, 2000, rows)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "tokens_seen,domain,bpb"
-    assert len(lines) == 5
-    assert lines[3].startswith("2000,a,")

@@ -6,7 +6,7 @@ import pytest
 
 from desklm import io as dio
 from desklm.corpus import Document, Removal, write_jsonl, write_removal_log
-from desklm.errors import CorruptFileError
+from desklm.errors import ConfigError, CorruptFileError
 from desklm.evaluation import BpbReport
 from desklm.io import canonical_json, load_arrays, save_arrays
 from desklm.mup import CoordCheckResult
@@ -93,6 +93,14 @@ def test_trailing_bytes_are_rejected_by_name(tmp_path):
     path.write_bytes(good + b"junk")
     with pytest.raises(CorruptFileError, match=r"small\.dlm: 4 trailing bytes"):
         load_arrays(path)
+
+
+@pytest.mark.parametrize("text", ["NaN", "[Infinity]", '{"a": -Infinity}', "1e999", "{", "",
+                                  b"\xff"])
+def test_parse_json_rejects_non_json_by_name(text):
+    # JSON has no NaN or Infinity, and 1e999 would overflow to one
+    with pytest.raises(ConfigError, match="^where: not valid JSON"):
+        dio.parse_json(text, "where")
 
 
 def _with_header(good, edit):

@@ -98,6 +98,12 @@ def test_config_rejects_unknown_scale_mode():
         small_config(attn_scale_mode="rsqrt")
 
 
+@pytest.mark.parametrize("name", ["rope_theta", "norm_eps"])
+def test_config_rejects_nan(name):
+    with pytest.raises(ConfigError):
+        small_config(**{name: float("nan")})
+
+
 def test_scale_modes_differ():
     toks = np.array([[1, 2, 3, 4]], dtype=np.int32)
     a = build_small(attn_scale_mode="mup").forward(toks).data

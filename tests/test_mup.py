@@ -4,9 +4,9 @@ from dataclasses import replace
 import pytest
 
 from desklm.errors import ClassificationError, ConfigError
+from desklm.io import decode_record
 from desklm.mup import (HyperParams, ParamClass, WidthPair, classify,
-                        hyperparams_from_dict, hyperparams_to_dict, scaled_config,
-                        transfer)
+                        hyperparams_to_dict, scaled_config, transfer)
 from desklm.presets import (config_52b, config_mup_512, hyperparams_52b,
                             hyperparams_mup_512, toy_config, toy_hyperparams)
 
@@ -119,11 +119,19 @@ def test_warmup_longer_than_schedule_rejected():
         replace(toy_hyperparams(), warmup_steps=10**9).validate()
 
 
+@pytest.mark.parametrize("name", ["vector_lr", "matrix_lr", "min_lr", "vector_std",
+                                  "matrix_std", "clip_grad", "weight_decay", "rope_theta"])
+def test_nan_hyperparameter_rejected(name):
+    # NaN fails every comparison, so a check written "x < 0" lets it through
+    with pytest.raises(ConfigError):
+        replace(toy_hyperparams(), **{name: float("nan")}).validate()
+
+
 # -- JSON round trip ---------------------------------------------------------------
 
 def test_json_round_trip():
     hp = hyperparams_52b()
-    assert hyperparams_from_dict(hyperparams_to_dict(hp)) == hp
+    assert decode_record(HyperParams, hyperparams_to_dict(hp), "hp") == hp
 
 
 def test_json_uses_published_field_names():
@@ -146,12 +154,12 @@ def test_json_uses_published_field_names():
 def test_json_rejects_unknown_and_missing_fields():
     d = hyperparams_to_dict(hyperparams_52b())
     d["typo_field"] = 1
-    with pytest.raises(ConfigError):
-        hyperparams_from_dict(d)
+    with pytest.raises(ConfigError, match=r"hp: unknown fields \['typo_field'\]"):
+        decode_record(HyperParams, d, "hp")
     d2 = hyperparams_to_dict(hyperparams_52b())
     del d2["output_mult"]
-    with pytest.raises(ConfigError):
-        hyperparams_from_dict(d2)
+    with pytest.raises(ConfigError, match=r"hp: .*missing fields \['output_mult'\]"):
+        decode_record(HyperParams, d2, "hp")
 
 
 # -- config scaling ------------------------------------------------------------------

@@ -96,8 +96,7 @@ def test_every_parameter_is_read():
 
 
 # (module, function) pairs allowed to write a file without io.atomic_open.
-# append_bpb_curve appends to a curve file, which a temp file cannot do.
-WRITES_ALLOWED = {("evaluation", "append_bpb_curve")}
+WRITES_ALLOWED = set()
 
 
 def _write_mode(call: ast.Call):
@@ -135,3 +134,22 @@ def writes_outside_io():
 
 def test_only_io_opens_files_for_writing():
     assert writes_outside_io() == []
+
+
+def json_parses_outside_io():
+    """``json.load`` and ``json.loads`` calls in src/desklm outside io.py,
+    whose parse_json refuses NaN and Infinity and names the file."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "io":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("load", "loads")
+                    and getattr(node.func.value, "id", None) == "json"):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_io_parses_json():
+    assert json_parses_outside_io() == []

@@ -1,4 +1,6 @@
 """Byte-level BPE: losslessness, training-oracle agreement, compression."""
+import json
+
 import numpy as np
 import pytest
 
@@ -208,14 +210,17 @@ def test_save_load_round_trip(tmp_path):
     assert back.encode("round trip") == model.encode("round trip")
 
 
-def test_from_dict_rejects_bad_payloads():
+def test_from_dict_rejects_bad_payloads(tmp_path):
     model = byte_only_model(specials=("<pad>",))
     good = model.to_dict()
-    with pytest.raises(ValueError):
-        TokenizerModel.from_dict({**good, "version": 99})
     sparse = {**good, "vocab": {k: v for k, v in good["vocab"].items() if k != "7"}}
-    with pytest.raises(ValueError):
-        TokenizerModel.from_dict(sparse)
+    path = tmp_path / "tok.json"
+    for bad, why in [({**good, "version": 99}, "version 99"), (sparse, "missing id 7"),
+                     ({**good, "merges": {}}, "merges: expected list"),
+                     ({k: v for k, v in good.items() if k != "word_split"}, "word_split")]:
+        path.write_text(json.dumps(bad))
+        with pytest.raises(ValueError, match=why):
+            TokenizerModel.load(path)
 
 
 def test_validate_rejects_inconsistent_models():
