@@ -6,6 +6,7 @@ shown below for context.  The desk-scale version trains in seconds on
 synthetic text, is lossless on arbitrary byte sequences by construction,
 and reports the same ratio metric (tokens per UTF-8 byte, lower is better).
 """
+from desklm.evaluation import weighted_sum
 from desklm.synth import STYLES, build_corpus
 from desklm.tokenizer import compression_table, train_bbpe
 
@@ -41,8 +42,8 @@ for s in samples:
 banner("Per-domain compression (tokens / byte, lower is better)")
 held_out = build_corpus(seed=99, target_bytes=120_000)
 by_domain = {s: [d.text for d in held_out if d.domain == s] for s in STYLES}
-rows, weighted = compression_table(tok, by_domain,
-                                   weights={s: 1 / len(STYLES) for s in STYLES})
+rows = compression_table(tok, by_domain)
+weighted = weighted_sum([row["ratio"] for row in rows], [1 / len(rows)] * len(rows))
 for row in rows:
     print(f"  {row['domain']:18s} {row['ratio']:.3f}")
 print(f"  {'weighted average':18s} {weighted:.3f}")

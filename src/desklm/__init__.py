@@ -10,7 +10,7 @@ from .tensor import Tensor, RngState, trunc_normal
 from .model import Model, ModelConfig, Multipliers, count_params
 from .mup import (HyperParams, ParamClass, WidthPair, classify, transfer,
                   coordinate_check, scaled_config)
-from .tokenizer import TokenizerModel, train_bbpe, compression_ratio, weighted_compression
+from .tokenizer import TokenizerModel, train_bbpe, compression_ratio
 from .corpus import (Document, CorpusManifest, DomainSpec, dedup, dedup_paragraphs,
                      minhash_signature, estimate_jaccard, sample_plan, pack,
                      sequences_per_step)

@@ -59,22 +59,19 @@ def _docs_by_domain(docs):
     return groups
 
 
-def _check_weights(path, weights: dict, domains) -> dict:
-    """``weights``, read from ``path``, if it weighs exactly ``domains``."""
-    if sorted(weights) != sorted(domains):
-        raise ConfigError(f"{path}: weights for domains {sorted(weights)}, "
-                          f"but the documents have {sorted(domains)}")
-    return weights
-
-
 def _load_run_inputs(args):
     """The model config and packed ``(tokens, segments)`` of a run; raises
-    ConfigError when the packed rows' context differs from the config's."""
+    ConfigError when the packed rows' context or token ids do not fit the
+    config."""
     config = dio.decode_record(ModelConfig, dio.read_json(args.config), args.config)
     tokens, segments, _ = corpus_mod.load_packed(args.data)
     if tokens.shape[1] != config.context_length:
         raise ConfigError(f"{args.data}: packed rows have context {tokens.shape[1]}, "
                           f"model config {args.config} expects {config.context_length}")
+    if tokens.size and not 0 <= tokens.min() <= tokens.max() < config.vocab_size:
+        raise ConfigError(f"{args.data}: token ids span [{tokens.min()}, {tokens.max()}], "
+                          f"outside the vocabulary [0, {config.vocab_size}) of "
+                          f"model config {args.config}")
     return config, (tokens, segments)
 
 
@@ -139,11 +136,14 @@ def cmd_tok_train(args):
 def cmd_tok_stats(args):
     tok = tok_mod.TokenizerModel.load(args.tokenizer)
     groups = _docs_by_domain(corpus_mod.read_jsonl(args.corpus))
-    weights = None
+    weights = weighted = None
     if args.weights:
         flat = dio.decode_record(dict[str, float], dio.read_json(args.weights), args.weights)
-        weights = _check_weights(args.weights, flat, groups)
-    rows, weighted = tok_mod.compression_table(tok, groups, weights)
+        weights = eval_mod.check_weights(flat, groups, args.weights)
+    rows = tok_mod.compression_table(tok, groups)
+    if weights is not None:
+        weighted = eval_mod.weighted_sum([r["ratio"] for r in rows],
+                                         [weights[r["domain"]] for r in rows])
     lines = [f"{'domain':<24}{'bytes':>12}{'tokens':>12}{'tokens/byte':>14}"]
     for r in rows:
         lines.append(f"{r['domain']:<24}{r['byte_count']:>12}"
@@ -206,13 +206,12 @@ def cmd_corpus_plan(args):
 def cmd_corpus_pack(args):
     tok = tok_mod.TokenizerModel.load(args.tokenizer)
     docs = corpus_mod.read_jsonl(args.corpus)
-    pad = args.pad_id if args.pad_id is not None else tok.pad_id
     token_docs = [tok.encode(d.text) for d in docs]
-    tokens, segments = corpus_mod.pack(token_docs, args.context_length, pad)
+    tokens, segments = corpus_mod.pack(token_docs, args.context_length, tok.pad_id)
     total_tokens = sum(len(t) for t in token_docs)
     corpus_mod.save_packed(args.out, tokens, segments, meta={
         "documents": len(docs),
-        "pad_id": int(pad),
+        "pad_id": tok.pad_id,
         "tokenizer": str(args.tokenizer),
         "total_tokens": total_tokens,
     })
@@ -366,7 +365,8 @@ def _read_weight_profiles(path, domains) -> dict:
     if isinstance(raw, dict) and not any(isinstance(v, dict) for v in raw.values()):
         raw = {"weighted": raw}
     profiles = dio.decode_record(dict[str, dict[str, float]], raw, path)
-    return {name: _check_weights(path, w, domains) for name, w in profiles.items()}
+    return {name: eval_mod.check_weights(w, domains, f"{path}: {name}")
+            for name, w in profiles.items()}
 
 
 def cmd_eval_bpb(args):
@@ -449,8 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--tokenizer", required=True)
     sp.add_argument("--context-length", type=int, required=True)
-    sp.add_argument("--pad-id", type=int, default=None,
-                    help="default: the tokenizer's <pad> special, else 0")
     sp.add_argument("--out", required=True, help="packed token file")
     sp.add_argument("--json", action="store_true")
 

@@ -16,6 +16,7 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, asdict
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -316,55 +317,28 @@ def sequences_per_step(batch_tokens: int, context_length: int) -> int:
 def pack(token_docs, context_length: int, pad_id: int):
     """Pack documents (lists of token ids) into fixed-length rows.
 
-    Rows are filled completely in document order; a document hitting a row
-    boundary continues in the next row, so only the final row can contain
-    padding.  Each position carries a segment id (1.. per document within
-    the row, 0 for padding) for cross-document attention masking and loss
-    masks.  Token conservation: non-pad positions == total input tokens.
+    The non-empty documents are concatenated in order into one stream, which
+    is padded with ``pad_id`` to whole rows; a document hitting a row boundary
+    continues in the next row, so only the final row can contain padding.
+    Each position is tagged with its document's number, and each row's tags
+    are renumbered from 1 at its first document (documents in a row are
+    consecutive), with 0 for padding: segment ids for cross-document
+    attention masking and loss masks.  Non-pad positions == input tokens.
 
     Returns (tokens, segments) int32 arrays of shape [rows, context_length].
     """
     if context_length < 2:
         raise ConfigError("context_length must be at least 2")
-    rows_tok, rows_seg = [], []
-    cur_tok: list[int] = []
-    cur_seg: list[int] = []
-    next_seg = 1
-
-    def flush(pad: bool):
-        nonlocal cur_tok, cur_seg, next_seg
-        if pad:
-            while len(cur_tok) < context_length:
-                cur_tok.append(pad_id)
-                cur_seg.append(0)
-        rows_tok.append(cur_tok)
-        rows_seg.append(cur_seg)
-        cur_tok, cur_seg = [], []
-        next_seg = 1
-
-    for doc in token_docs:
-        doc = list(doc)
-        if not doc:
-            continue
-        seg = next_seg
-        next_seg += 1
-        pos = 0
-        while pos < len(doc):
-            space = context_length - len(cur_tok)
-            take = min(space, len(doc) - pos)
-            cur_tok.extend(doc[pos:pos + take])
-            cur_seg.extend([seg] * take)
-            pos += take
-            if len(cur_tok) == context_length:
-                flush(pad=False)
-                if pos < len(doc):
-                    # the document continues: it opens the new row as segment 1
-                    seg = 1
-                    next_seg = 2
-    if cur_tok:
-        flush(pad=True)
-    tokens = np.asarray(rows_tok, dtype=np.int32).reshape(-1, context_length)
-    segments = np.asarray(rows_seg, dtype=np.int32).reshape(-1, context_length)
+    docs = [d for d in token_docs if len(d)]
+    lengths = [len(d) for d in docs]
+    n = sum(lengths)
+    size = n + -n % context_length
+    tokens = np.fromiter(chain(chain.from_iterable(docs), repeat(pad_id, size - n)),
+                         np.int32, size).reshape(-1, context_length)
+    segments = np.zeros(size, dtype=np.int32)
+    segments[:n] = np.repeat(np.arange(1, len(docs) + 1, dtype=np.int32), lengths)
+    segments = segments.reshape(-1, context_length)
+    np.subtract(segments, segments[:, :1] - 1, out=segments, where=segments > 0)
     return tokens, segments
 
 

@@ -91,15 +91,23 @@ def bpb(loss_nats: float, token_count: int, byte_count: int) -> float:
     return loss_nats * (token_count / byte_count) / LN2
 
 
+def check_weights(weights: dict, domains, where) -> dict:
+    """``weights`` if it weighs exactly ``domains``, with no weight below 0,
+    and sums to 1 within 1e-9; else a ConfigError starting with ``where``."""
+    if sorted(weights) != sorted(domains):
+        raise ConfigError(f"{where}: weights for {sorted(weights)}, "
+                          f"but the domains are {sorted(domains)}")
+    if bad := {k: w for k, w in weights.items() if not w >= 0}:
+        raise ConfigError(f"{where}: weights must be non-negative, got {bad}")
+    if not abs((total := sum(weights.values())) - 1.0) <= 1e-9:
+        raise ConfigError(f"{where}: weights sum to {total!r}, expected 1")
+    return weights
+
+
 def weighted_sum(values, weights) -> float:
-    """Sum of w_i * v_i; weights must sum to 1 within 1e-9."""
-    values = list(values)
-    weights = list(weights)
-    if len(values) != len(weights):
-        raise ConfigError(f"{len(values)} values but {len(weights)} weights")
-    total = sum(weights)
-    if abs(total - 1.0) > 1e-9:
-        raise ConfigError(f"weights sum to {total!r}, expected 1")
+    """Sum of w_i * v_i, one weight per value under ``check_weights``."""
+    values, weights = list(values), list(weights)
+    check_weights(dict(enumerate(weights)), range(len(values)), "weighted_sum")
     return float(sum(w * v for w, v in zip(weights, values)))
 
 
@@ -133,8 +141,13 @@ def build_report(model, tokenizer, eval_sets, weight_profiles: dict | None = Non
     """Per-domain BPB rows plus aggregates.
 
     weight_profiles maps a profile name to {domain: weight}; every profile
-    must cover exactly the eval-set domains and sum to 1.
+    must pass ``check_weights`` on the eval-set domains, which is checked
+    before any domain is evaluated.
     """
+    domains = [es.name for es in eval_sets]
+    profiles = weight_profiles or {}
+    for name, prof in profiles.items():
+        check_weights(prof, domains, f"profile {name!r}")
     rows = []
     for es in eval_sets:
         loss = domain_loss(model, tokenizer, es, rows_per_batch=rows_per_batch)
@@ -145,15 +158,8 @@ def build_report(model, tokenizer, eval_sets, weight_profiles: dict | None = Non
             "byte_count": es.byte_count,
             "bpb": bpb(loss, es.token_count, es.byte_count),
         })
-    domains = [r["domain"] for r in rows]
     bpbs = [r["bpb"] for r in rows]
     aggregates = {"direct_average": direct_average(bpbs)}
-    profiles = weight_profiles or {}
     for name, prof in profiles.items():
-        if set(prof) != set(domains):
-            raise ConfigError(
-                f"profile {name!r} domains {sorted(prof)} do not match "
-                f"eval domains {sorted(domains)}")
         aggregates[f"weighted:{name}"] = weighted_sum(bpbs, [prof[d] for d in domains])
     return BpbReport(rows=rows, aggregates=aggregates, weight_profiles=profiles)
-

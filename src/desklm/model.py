@@ -252,7 +252,7 @@ class Model:
 
     # -- persistence -------------------------------------------------------
 
-    def save(self, path, step: int = 0, extra_meta: dict | None = None):
+    def save(self, path, step: int = 0):
         """Checkpoint to the DLM1 container; round-trips bit-exactly."""
         meta = {
             "kind": "checkpoint",
@@ -261,8 +261,6 @@ class Model:
             "multipliers": asdict(self.multipliers),
             "step": int(step),
         }
-        if extra_meta:
-            meta["extra"] = extra_meta
         dio.save_arrays(path, {k: v.data for k, v in self.params.items()}, meta)
 
     @classmethod

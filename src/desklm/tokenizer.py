@@ -332,38 +332,16 @@ def compression_ratio(model: TokenizerModel, corpus) -> float:
     return tokens / nbytes
 
 
-def weighted_compression(ratios: dict, weights: dict) -> float:
-    """Weighted average of per-domain compression ratios.
-
-    Weight keys must exactly match ratio keys, be non-negative, and sum
-    to 1 within 1e-9.
-    """
-    if set(ratios) != set(weights):
-        raise ValueError(f"weight domains {sorted(weights)} != ratio domains {sorted(ratios)}")
-    total = sum(weights.values())
-    if any(w < 0 for w in weights.values()):
-        raise ValueError("weights must be non-negative")
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"weights must sum to 1, got {total!r}")
-    return sum(weights[k] * ratios[k] for k in ratios)
-
-
-def compression_table(model: TokenizerModel, docs_by_domain: dict, weights: dict | None = None):
-    """Per-domain compression ratios plus an optional weighted average.
-
-    Returns (rows, weighted) where rows is a list of
-    {domain, byte_count, token_count, ratio} dicts in sorted domain order.
-    """
+def compression_table(model: TokenizerModel, docs_by_domain: dict) -> list:
+    """Per-domain compression: a list of {domain, byte_count, token_count,
+    ratio} dicts in sorted domain order."""
     rows = []
-    ratios = {}
     for domain in sorted(docs_by_domain):
         docs = docs_by_domain[domain]
         nbytes = sum(len(_to_bytes(d)) for d in docs)
         ntok = sum(len(model.encode(d)) for d in docs)
         if nbytes == 0:
             raise ValueError(f"domain {domain!r} has no bytes")
-        ratios[domain] = ntok / nbytes
         rows.append({"domain": domain, "byte_count": nbytes,
                      "token_count": ntok, "ratio": ntok / nbytes})
-    weighted = weighted_compression(ratios, weights) if weights is not None else None
-    return rows, weighted
+    return rows

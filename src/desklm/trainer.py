@@ -151,24 +151,20 @@ class StepLog:
     block_rms: list = field(default_factory=list)
 
 
-RUNLOG_COLUMNS = ["step", "tokens", "loss", "grad_norm", "lr_vector", "lr_matrix", "wall_ms"]
+# run_log.csv's columns, each with the type it is read back as.
+RUNLOG_COLUMNS = {"step": int, "tokens": int, "loss": float, "grad_norm": float,
+                  "lr_vector": float, "lr_matrix": float, "wall_ms": float}
 
 
 def write_runlog(path, log):
-    dio.write_csv(path, RUNLOG_COLUMNS, (
-        [row.step, row.tokens, repr(row.loss), repr(row.grad_norm),
-         repr(row.lr_vector), repr(row.lr_matrix), repr(row.wall_ms)] for row in log))
+    dio.write_csv(path, list(RUNLOG_COLUMNS),
+                  ([getattr(row, c) for c in RUNLOG_COLUMNS] for row in log))
 
 
 def read_runlog(path):
-    out = []
     with open(path, newline="") as f:
-        for rec in csv.DictReader(f):
-            out.append(StepLog(step=int(rec["step"]), tokens=int(rec["tokens"]),
-                               loss=float(rec["loss"]), grad_norm=float(rec["grad_norm"]),
-                               lr_vector=float(rec["lr_vector"]), lr_matrix=float(rec["lr_matrix"]),
-                               wall_ms=float(rec["wall_ms"])))
-    return out
+        return [StepLog(**{c: kind(rec[c]) for c, kind in RUNLOG_COLUMNS.items()})
+                for rec in csv.DictReader(f)]
 
 
 @dataclass

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from desklm import cli
+from desklm import evaluation as eval_mod
 from desklm import io as dio
 from desklm import trainer as trainer_mod
 from desklm.corpus import (Document, load_packed, pack, save_packed,
@@ -669,7 +670,8 @@ def untrained_ckpt(ws, tmp_path_factory):
     return path
 
 
-def test_malformed_weights_are_rejected_by_name(ws, untrained_ckpt, tmp_path, capsys):
+def test_malformed_weights_are_rejected_by_name(ws, untrained_ckpt, tmp_path, capsys,
+                                                monkeypatch):
     path = tmp_path / "w.json"
     flat = {s: 1 / len(STYLES) for s in STYLES}
     tok_stats = ["tok-stats", "--tokenizer", str(ws / "tok.json"),
@@ -677,10 +679,24 @@ def test_malformed_weights_are_rejected_by_name(ws, untrained_ckpt, tmp_path, ca
     eval_bpb = ["eval-bpb", "--checkpoint", str(untrained_ckpt), "--tokenizer",
                 str(ws / "tok.json"), "--eval", str(ws / "eval.jsonl"),
                 "--weights", str(path), "--out", str(tmp_path / "report.json")]
-    nested = [(f"profile p: {label}", {"p": v}) for label, v in object_mutations(flat)]
-    assert not_rejected(capsys, tok_stats, path, tmp_path / "none", json_cases(flat)) == {}
+    # the weight rule: exactly the documents' domains, none negative, summing to 1
+    ruled = [("sum 0.6", dict.fromkeys(STYLES, 0.1)),
+             ("a negative weight", {**flat, STYLES[0]: -0.5, STYLES[1]: 2 / len(STYLES) + 0.5}),
+             (f"no {STYLES[0]}", {s: 1 / (len(STYLES) - 1) for s in STYLES[1:]})]
+    flat_variants = list(object_mutations(flat)) + ruled
+    nested = [(f"profile p: {label}", {"p": v}) for label, v in flat_variants] + [
+        (f"profile p of 2: {label}", {"ok": flat, "p": v}) for label, v in ruled]
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a rejected weights file was evaluated")
+
+    # a rejected file tokenizes and evaluates nothing
+    monkeypatch.setattr(TokenizerModel, "encode", evaluated)
+    monkeypatch.setattr(eval_mod, "domain_loss", evaluated)
+    assert not_rejected(capsys, tok_stats, path, tmp_path / "none",
+                        json_cases(flat, flat_variants + nested)) == {}
     assert not_rejected(capsys, eval_bpb, path, tmp_path / "report.json",
-                        json_cases(flat, list(object_mutations(flat)) + nested)) == {}
+                        json_cases(flat, flat_variants + nested)) == {}
 
 
 def test_malformed_tokenizer_is_rejected_by_name(ws, tmp_path, capsys):
@@ -720,6 +736,11 @@ def test_malformed_packed_file_is_rejected_by_name(ws, tmp_path, capsys):
         "float64 tokens": {"tokens": tokens.astype(np.float64), "segments": segments},
         "segments of another shape": {"tokens": tokens, "segments": segments[:-1]},
     }
+    vocab_size = json.loads((ws / "config.json").read_text())["vocab_size"]
+    for label, bad_id in [("id vocab_size", vocab_size), ("id -1", -1)]:
+        bad = tokens.copy()
+        bad[:, 3] = bad_id                  # in every row
+        variants[f"{label} in every row"] = {"tokens": bad, "segments": segments}
     cases = [("truncated", good[:len(good) // 2]),
              ("kind checkpoint", dlm_bytes(tmp_path, {"tokens": tokens, "segments": segments},
                                            {**meta, "kind": "checkpoint"}))] + [

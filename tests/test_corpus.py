@@ -317,13 +317,22 @@ def test_pack_five_five_five_into_eight():
 
 def test_pack_matches_reference_on_random_docs():
     rng = np.random.default_rng(12)
-    for ctx in (4, 7, 16):
-        docs = [list(rng.integers(1, 50, size=int(rng.integers(1, 40))))
-                for _ in range(30)]
-        tokens, segments = pack(docs, ctx, pad_id=0)
-        ref_tok, ref_seg = reference_pack(docs, ctx, pad_id=0)
-        assert np.array_equal(tokens, ref_tok)
-        assert np.array_equal(segments, ref_seg)
+
+    def docs(n, max_len, min_len=1):
+        return [list(rng.integers(1, 50, size=int(rng.integers(min_len, max_len))))
+                for _ in range(n)]
+
+    cases = [(docs(30, 40), ctx, 0) for ctx in (4, 7, 16)] + [
+        (docs(40, 12, min_len=0), 5, 0),      # empty documents mixed in
+        (docs(25, 9), 2, 0),                  # the shortest context
+        (docs(30, 40), 7, 511),               # a non-zero pad id
+        ([], 4, 3)]                           # no documents
+    for token_docs, ctx, pad_id in cases:
+        got = pack(token_docs, ctx, pad_id=pad_id)
+        want = reference_pack(token_docs, ctx, pad_id=pad_id)
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert np.array_equal(g, w)
 
 
 def test_pack_conserves_tokens():

@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from desklm import evaluation
 from desklm.errors import ConfigError
-from desklm.evaluation import (BpbReport, bpb, build_report,
+from desklm.evaluation import (BpbReport, bpb, build_report, check_weights,
                                direct_average, domain_loss, load_eval_set,
                                weighted_sum)
 from desklm.corpus import pack
@@ -100,10 +101,25 @@ def test_bpb_validation():
 
 def test_weighted_sum_validation():
     assert weighted_sum([2.0, 4.0], [0.25, 0.75]) == 3.5
-    with pytest.raises(ConfigError):
-        weighted_sum([1.0], [0.5, 0.5])
-    with pytest.raises(ConfigError):
-        weighted_sum([1.0, 2.0], [0.6, 0.6])
+    assert weighted_sum([0.5, 0.25], [0.5, 0.5]) == 0.375
+    for values, weights in [([1.0], [0.5, 0.5]),             # one weight per value
+                            ([1.0, 2.0], [0.6, 0.6]),        # sum above 1
+                            ([0.5, 0.5], [0.9, 0.2]),
+                            ([1.0, 2.0], [0.3, 0.3]),        # sum below 1
+                            ([0.5, 0.5], [-0.1, 1.1]),       # negative, sums to 1
+                            ([1.0, 2.0], [math.nan, 1.0])]:
+        with pytest.raises(ConfigError, match="weighted_sum: "):
+            weighted_sum(values, weights)
+
+
+def test_check_weights_names_where_and_returns_weights():
+    w = {"a": 0.25, "b": 0.75}
+    assert check_weights(w, ["b", "a"], "w.json") is w
+    for bad, why in [({"a": 1.0}, "but the domains are"),
+                     ({"a": 0.3, "b": 0.3}, "sum to 0.6"),
+                     ({"a": -0.5, "b": 1.5}, "non-negative")]:
+        with pytest.raises(ConfigError, match=f"^w.json: .*{why}"):
+            check_weights(bad, ["a", "b"], "w.json")
 
 
 def test_direct_average():
@@ -219,11 +235,20 @@ def test_build_report_rows_and_aggregates(eval_env):
         0.6 * bpbs[0] + 0.4 * bpbs[1])
 
 
-def test_build_report_rejects_mismatched_profile(eval_env):
+def test_build_report_rejects_mismatched_profile(eval_env, monkeypatch):
     model, tok = eval_env
-    sets = [load_eval_set("alpha", ["some text"], tok)]
-    with pytest.raises(ConfigError):
-        build_report(model, tok, sets, weight_profiles={"p": {"other": 1.0}})
+    sets = [load_eval_set("alpha", ["some text"], tok),
+            load_eval_set("beta", ["more text"], tok)]
+
+    def evaluated(*args, **kwargs):
+        raise AssertionError("a domain was evaluated before the profiles were checked")
+
+    monkeypatch.setattr(evaluation, "domain_loss", evaluated)
+    good = {"alpha": 0.5, "beta": 0.5}
+    for bad in [{"other": 1.0}, {"alpha": 1.0}, {"alpha": 0.3, "beta": 0.3},
+                {"alpha": -0.5, "beta": 1.5}]:
+        with pytest.raises(ConfigError, match="^profile 'p': "):
+            build_report(model, tok, sets, weight_profiles={"ok": good, "p": bad})
 
 
 def test_report_persistence(tmp_path):

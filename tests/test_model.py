@@ -320,7 +320,7 @@ def test_build_rejects_mismatched_rope_theta():
 def test_checkpoint_round_trip_bit_exact(tmp_path):
     model = build_small(seed=8)
     path = tmp_path / "m.ckpt"
-    model.save(path, step=17, extra_meta={"note": "unit"})
+    model.save(path, step=17)
     again = Model.load(path)
     assert again.loaded_step == 17
     assert again.config == model.config

@@ -6,8 +6,7 @@ import pytest
 
 from desklm.synth import build_corpus
 from desklm.tokenizer import (TokenizerModel, compression_ratio,
-                              compression_table, train_bbpe,
-                              weighted_compression)
+                              compression_table, train_bbpe)
 from oracles import reference_bbpe, reference_encode
 
 
@@ -257,24 +256,12 @@ def test_compression_ratio_needs_bytes():
         compression_ratio(byte_only_model(), ["", ""])
 
 
-def test_weighted_compression_math_and_validation():
-    assert weighted_compression({"a": 0.5, "b": 0.25}, {"a": 0.5, "b": 0.5}) == 0.375
-    with pytest.raises(ValueError):
-        weighted_compression({"a": 0.5}, {"b": 1.0})
-    with pytest.raises(ValueError):
-        weighted_compression({"a": 0.5, "b": 0.5}, {"a": 0.9, "b": 0.2})
-    with pytest.raises(ValueError):
-        weighted_compression({"a": 0.5, "b": 0.5}, {"a": -0.1, "b": 1.1})
-
-
-def test_compression_table_rows_and_weighted():
+def test_compression_table_rows():
     model = byte_only_model()
-    rows, weighted = compression_table(
-        model, {"b_dom": ["xyzw"], "a_dom": ["ab", "cd"]},
-        weights={"a_dom": 0.75, "b_dom": 0.25})
+    rows = compression_table(model, {"b_dom": ["xyzw"], "a_dom": ["ab", "cd"]})
     assert [r["domain"] for r in rows] == ["a_dom", "b_dom"]
     assert rows[0]["byte_count"] == 4 and rows[0]["token_count"] == 4
-    assert weighted == 1.0
+    assert [r["ratio"] for r in rows] == [1.0, 1.0]
     with pytest.raises(ValueError):
         compression_table(model, {"empty": [""]})
 
