@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from desklm.evaluation import check_weights, weighted_sum
 from desklm.synth import build_corpus
 from desklm.tokenizer import (TokenizerModel, compression_ratio,
                               compression_table, train_bbpe)
@@ -254,6 +255,23 @@ def test_hand_built_model_hits_quarter_ratio():
 def test_compression_ratio_needs_bytes():
     with pytest.raises(ValueError):
         compression_ratio(byte_only_model(), ["", ""])
+
+
+def weighted_compression(ratios: dict, weights: dict) -> float:
+    """The weighted compression ratio as tok-stats computes it."""
+    check_weights(weights, ratios, "weights")
+    return weighted_sum([ratios[d] for d in sorted(ratios)],
+                        [weights[d] for d in sorted(ratios)])
+
+
+def test_weighted_compression_math_and_validation():
+    assert weighted_compression({"a": 0.5, "b": 0.25}, {"a": 0.5, "b": 0.5}) == 0.375
+    with pytest.raises(ValueError):
+        weighted_compression({"a": 0.5}, {"b": 1.0})
+    with pytest.raises(ValueError):
+        weighted_compression({"a": 0.5, "b": 0.5}, {"a": 0.9, "b": 0.2})
+    with pytest.raises(ValueError):
+        weighted_compression({"a": 0.5, "b": 0.5}, {"a": -0.1, "b": 1.1})
 
 
 def test_compression_table_rows():
