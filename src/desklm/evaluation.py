@@ -107,6 +107,8 @@ def check_weights(weights: dict, domains, where) -> dict:
 def weighted_sum(values, weights) -> float:
     """Sum of w_i * v_i, one weight per value under ``check_weights``."""
     values, weights = list(values), list(weights)
+    if len(values) != len(weights):
+        raise ConfigError(f"weighted_sum: {len(weights)} weights for {len(values)} values")
     check_weights(dict(enumerate(weights)), range(len(values)), "weighted_sum")
     return float(sum(w * v for w, v in zip(weights, values)))
 

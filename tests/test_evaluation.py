@@ -110,6 +110,8 @@ def test_weighted_sum_validation():
                             ([1.0, 2.0], [math.nan, 1.0])]:
         with pytest.raises(ConfigError, match="weighted_sum: "):
             weighted_sum(values, weights)
+    with pytest.raises(ConfigError, match="2 weights for 1 values"):
+        weighted_sum([1.0], [0.5, 0.5])
 
 
 def test_check_weights_names_where_and_returns_weights():

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from desklm.evaluation import check_weights, weighted_sum
+from desklm import cli
+from desklm.corpus import Document, write_jsonl
 from desklm.synth import build_corpus
 from desklm.tokenizer import (TokenizerModel, compression_ratio,
                               compression_table, train_bbpe)
@@ -257,21 +258,31 @@ def test_compression_ratio_needs_bytes():
         compression_ratio(byte_only_model(), ["", ""])
 
 
-def weighted_compression(ratios: dict, weights: dict) -> float:
-    """The weighted compression ratio as tok-stats computes it."""
-    check_weights(weights, ratios, "weights")
-    return weighted_sum([ratios[d] for d in sorted(ratios)],
-                        [weights[d] for d in sorted(ratios)])
+def test_weighted_compression_math_and_validation(tmp_path, capsys):
+    vocab = [bytes([i]) for i in range(256)]
+    merges = [(116, 104), (256, 101), (257, 32)]   # th, the, "the "
+    for l, r in merges:
+        vocab.append(vocab[l] + vocab[r])
+    tok = tmp_path / "tok.json"
+    TokenizerModel(vocab, merges, {}, word_split=False).save(tok)
+    corpus = tmp_path / "corpus.jsonl"             # ratios: a 0.5, b 0.25
+    write_jsonl(corpus, [Document("d0", "a", "th"), Document("d1", "b", "the the the the ")])
 
+    def tok_stats(weights):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(weights))
+        code = cli.main(["tok-stats", "--tokenizer", str(tok), "--corpus", str(corpus),
+                         "--weights", str(path), "--json"])
+        out, err = capsys.readouterr()
+        if code == 0:
+            return json.loads(out)["weighted"]
+        assert code == 2 and str(path) in err
+        return None
 
-def test_weighted_compression_math_and_validation():
-    assert weighted_compression({"a": 0.5, "b": 0.25}, {"a": 0.5, "b": 0.5}) == 0.375
-    with pytest.raises(ValueError):
-        weighted_compression({"a": 0.5}, {"b": 1.0})
-    with pytest.raises(ValueError):
-        weighted_compression({"a": 0.5, "b": 0.5}, {"a": 0.9, "b": 0.2})
-    with pytest.raises(ValueError):
-        weighted_compression({"a": 0.5, "b": 0.5}, {"a": -0.1, "b": 1.1})
+    assert tok_stats({"a": 0.5, "b": 0.5}) == 0.375
+    assert tok_stats({"b": 1.0}) is None
+    assert tok_stats({"a": 0.9, "b": 0.2}) is None
+    assert tok_stats({"a": -0.1, "b": 1.1}) is None
 
 
 def test_compression_table_rows():

@@ -2,15 +2,15 @@
 sha256 of every file it writes, so two source trees can be compared for
 byte-identical output.
 
-    python tools/pipeline_digest.py [--tree DIR] [--seed N] [--bytes N]
+    python tools/pipeline_digest.py [--tree DIR]
 
 ``--tree`` is the root of a desklm checkout (default: this one); its
 ``src/`` is put on PYTHONPATH for every command.  The script builds a
-``synth`` corpus in a temporary directory and runs tok-train,
-``tok-stats --weights``, ``corpus-dedup --log``, corpus-plan, corpus-pack,
-``train --save-initial --checkpoint-every``, grid-search,
-``coord-check --out`` and ``eval-bpb --weights --out --csv`` there, with
-relative paths so no output names the directory.  It prints canonical JSON
+``synth`` corpus of ``NBYTES`` bytes from ``SEED`` in a temporary directory
+and runs tok-train, ``tok-stats --weights``, ``corpus-dedup --log``,
+corpus-plan, corpus-pack, ``train --save-initial --checkpoint-every``,
+grid-search, ``coord-check --out`` and ``eval-bpb --weights --out --csv``
+there, with relative paths so no output names the directory.  It prints canonical JSON
 ``{file: sha256}`` for every file written and every command's stdout
 (``<n>.<command>.stdout``).  The ``wall_ms`` column is dropped from
 ``run_log.csv`` and ``gridNNN.csv`` first, since it is a timing.  Exits 1
@@ -34,6 +34,8 @@ from pathlib import Path
 
 VOCAB = 300
 CONTEXT = 16
+SEED = 5
+NBYTES = 40_000
 
 # Writes every input file with the tree's own library, planting two exact
 # copies and one near copy for dedup to find; argv: dir seed bytes.
@@ -112,14 +114,12 @@ def digest(root: Path) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--tree", default=Path(__file__).resolve().parent.parent, type=Path)
-    p.add_argument("--seed", type=int, default=5)
-    p.add_argument("--bytes", type=int, default=40_000)
     args = p.parse_args(argv)
     env = {**os.environ, "PYTHONPATH": str(args.tree.resolve() / "src")}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
-        subprocess.run([sys.executable, "-c", SETUP, str(work), str(args.seed),
-                        str(args.bytes)], env=env, check=True)
+        subprocess.run([sys.executable, "-c", SETUP, str(work), str(SEED), str(NBYTES)],
+                       env=env, check=True)
         for i, cmd in enumerate(COMMANDS):
             done = subprocess.run([sys.executable, "-m", "desklm.cli", *cmd], cwd=work,
                                   env=env, capture_output=True, text=True)
