@@ -31,7 +31,7 @@ from . import io as dio
 from . import tokenizer as tok_mod
 from . import trainer as trainer_mod
 from .errors import ConfigError, NonFiniteGradientError
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, count_params
 from .mup import HyperParams, coordinate_check, hyperparams_to_dict
 from .tensor import RngState
 
@@ -239,7 +239,8 @@ def cmd_train(args, argv):
     hp = dio.decode_record(HyperParams, dio.read_json(args.hyperparams), args.hyperparams)
     rows_per_batch = _derive_rows_per_batch(args, hp, config)
     model, schedule = _build_run(config, hp, rows_per_batch, args.seed)
-    trainer_mod.check_detector(args.recovery_window, args.mad_mult, args.detector_window)
+    trainer_mod.check_run(args.steps, args.recovery_window, args.checkpoint_every,
+                          Path(args.out) / "checkpoints")
 
     dirs = _start_run(args, argv, {"model_config.json": config.to_dict(),
                                    "hyperparams.json": hyperparams_to_dict(hp)})
@@ -248,8 +249,7 @@ def cmd_train(args, argv):
     batches = trainer_mod.batch_iterator(packed, rows_per_batch, args.steps, args.seed)
     result = trainer_mod.train(
         model, schedule, batches, args.steps, detect=not args.no_spike_detection,
-        recovery_window=args.recovery_window, mad_mult=args.mad_mult,
-        detector_window=args.detector_window, stop_on_abort=not args.keep_going,
+        recovery_window=args.recovery_window, stop_on_abort=not args.keep_going,
         checkpoint_every=args.checkpoint_every, checkpoint_dir=dirs["checkpoints"])
 
     trainer_mod.write_runlog(dirs["logs"] / "run_log.csv", result.log)
@@ -263,7 +263,7 @@ def cmd_train(args, argv):
         "tokens_seen": result.log[-1].tokens if result.log else 0,
         "final_loss": result.log[-1].loss if result.log else None,
         "spike_events": len(result.events),
-        "params": model.num_params(),
+        "params": count_params(config),
         "rows_per_batch": rows_per_batch,
     }
     dio.write_json(dirs["reports"] / "summary.json", summary)
@@ -300,6 +300,7 @@ def cmd_grid_search(args, argv):
     rows_per_batch = rows[0]
     for hp in hp_list:
         _build_run(config, hp, rows_per_batch, args.seed)
+    trainer_mod.check_run(args.steps)
 
     dirs = _start_run(args, argv, {"model_config.json": config.to_dict(),
                                    "grid.json": grid_spec})
@@ -466,8 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="checkpoint the untrained model as initial.ckpt")
     sp.add_argument("--no-spike-detection", action="store_true")
     sp.add_argument("--recovery-window", type=int, default=trainer_mod.RECOVERY_WINDOW)
-    sp.add_argument("--mad-mult", type=float, default=trainer_mod.MAD_MULT)
-    sp.add_argument("--detector-window", type=int, default=trainer_mod.DETECTOR_WINDOW)
     sp.add_argument("--keep-going", action="store_true",
                     help="log sustained spikes but do not stop")
 

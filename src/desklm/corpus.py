@@ -186,10 +186,7 @@ def dedup(docs, threshold: float = 0.8, k: int = 128, shingle_n: int = 5,
         except EmptyShingleError:
             kept.append(doc)
             continue
-        band_keys = []
-        for bi in range(bands):
-            chunk = sig.mins[bi * rows:(bi + 1) * rows].tobytes()
-            band_keys.append((bi, hashlib.blake2b(chunk, digest_size=8).digest()))
+        band_keys = [(bi, sig.mins[bi * rows:(bi + 1) * rows].tobytes()) for bi in range(bands)]
         cand_ids = []
         seen_cand = set()
         for key in band_keys:

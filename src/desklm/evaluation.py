@@ -34,9 +34,12 @@ class DomainEvalSet:
 
 
 def load_eval_set(name: str, docs, tokenizer) -> DomainEvalSet:
-    """Build an eval set from text documents, tokenizing each once and
-    recomputing both counts."""
-    texts = [d.text if hasattr(d, "text") else str(d) for d in docs]
+    """Build an eval set from documents (``corpus.Document`` or ``str``),
+    tokenizing each once and recomputing both counts."""
+    texts = [d.text if isinstance(d, corpus_mod.Document) else d for d in docs]
+    for t in texts:
+        if not isinstance(t, str):
+            raise ConfigError(f"eval set {name!r}: got a {type(t).__name__}, not a Document or str")
     if not texts:
         raise ConfigError(f"eval set {name!r} has no documents")
     byte_count = sum(len(t.encode("utf-8")) for t in texts)

@@ -159,9 +159,6 @@ class Model:
         for t in self.params.values():
             t.grad = None
 
-    def num_params(self) -> int:
-        return sum(t.data.size for t in self.params.values())
-
     # -- forward -----------------------------------------------------------
 
     def _validate_tokens(self, tokens: np.ndarray):

@@ -176,10 +176,10 @@ class SpikeEvent:
     grad_norm_context: list
 
 
-def _median_band(values, mult):
+def _median_band(values):
     med = float(np.median(values))
     mad = float(np.median(np.abs(np.asarray(values) - med)))
-    return med, med + mult * mad
+    return med + MAD_MULT * mad
 
 
 # Spike-detector defaults: the excursion length that counts as sustained,
@@ -187,22 +187,28 @@ def _median_band(values, mult):
 RECOVERY_WINDOW, MAD_MULT, DETECTOR_WINDOW = 20, 4.0, 100
 
 
-def check_detector(recovery_window: int, mad_mult: float, detector_window: int | None = None):
-    """Reject a negative ``mad_mult``, which flags a calm run as a spike, and
-    a ``detector_window`` below ``recovery_window``, which never fires."""
-    if not mad_mult >= 0:
-        raise ConfigError(f"mad_mult must be >= 0, got {mad_mult!r}")
-    if detector_window is not None and detector_window < recovery_window:
-        raise ConfigError(f"detector_window {detector_window} < recovery_window {recovery_window}")
+def check_run(steps: int = 0, recovery_window: int = RECOVERY_WINDOW,
+              checkpoint_every: int | None = None, checkpoint_dir=None):
+    """The rule for a run's settings, which `train` checks before its first
+    step.  A ``recovery_window`` below 2 reads a one-value grad-norm tail as
+    rising, so every step is sustained; above DETECTOR_WINDOW it never fires."""
+    if steps < 0:
+        raise ConfigError(f"steps must be >= 0, got {steps}")
+    if not 2 <= recovery_window <= DETECTOR_WINDOW:
+        raise ConfigError(f"recovery_window must be in [2, {DETECTOR_WINDOW}], "
+                          f"got {recovery_window}")
+    if checkpoint_every is not None and checkpoint_every < 1:
+        raise ConfigError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
+    if checkpoint_every is not None and checkpoint_dir is None:
+        raise ConfigError("checkpoint_every needs a checkpoint_dir to write to")
 
 
-def detect_spike(window, recovery_window: int = RECOVERY_WINDOW,
-                 mad_mult: float = MAD_MULT):
+def detect_spike(window, recovery_window: int = RECOVERY_WINDOW):
     """Classify the most recent loss behaviour in a trailing window.
 
-    ``window`` is a sequence of (loss, grad_norm) pairs or StepLog rows,
-    oldest first.  The loss band is median + mad_mult * MAD over the window
-    (MAD = median absolute deviation); grad norms get their own band.
+    ``window`` is a sequence of (loss, grad_norm) pairs, oldest first.  The
+    loss band is median + MAD_MULT * MAD over the window (MAD = median
+    absolute deviation); grad norms get their own band.
 
     Returns a SpikeEvent or None:
 
@@ -214,18 +220,14 @@ def detect_spike(window, recovery_window: int = RECOVERY_WINDOW,
       steps, and whose grad norms stayed inside their own band.  A short
       excursion with out-of-band grad norms is not classified.
     """
-    check_detector(recovery_window, mad_mult)
+    check_run(recovery_window=recovery_window)
     if len(window) < recovery_window:
         return None
-    if isinstance(window[0], StepLog):
-        losses = [r.loss for r in window]
-        gnorms = [r.grad_norm for r in window]
-    else:
-        losses = [w[0] for w in window]
-        gnorms = [w[1] for w in window]
+    losses = [w[0] for w in window]
+    gnorms = [w[1] for w in window]
     n = len(losses)
-    _, band = _median_band(losses, mad_mult)
-    _, gband = _median_band(gnorms, mad_mult)
+    band = _median_band(losses)
+    gband = _median_band(gnorms)
 
     above = [l > band or not math.isfinite(l) for l in losses]
     run = 0
@@ -239,7 +241,7 @@ def detect_spike(window, recovery_window: int = RECOVERY_WINDOW,
     if all(tail_g[i] < tail_g[i + 1] for i in range(len(tail_g) - 1)):
         return SpikeEvent("sustained", n - recovery_window, recovery_window,
                           max(losses[-recovery_window:]), tail_g)
-    if run == 0 and n >= 2 and above[n - 2]:
+    if run == 0 and above[n - 2]:
         end = n - 1
         start = n - 2
         while start > 0 and above[start - 1]:
@@ -314,7 +316,6 @@ def train_step(model: Model, batch, optimizer: AdamState, schedule: Schedule,
 
 def train(model: Model, schedule: Schedule, batches, steps: int,
           detect: bool = True, recovery_window: int = RECOVERY_WINDOW,
-          mad_mult: float = MAD_MULT, detector_window: int = DETECTOR_WINDOW,
           stop_on_abort: bool = True,
           checkpoint_every: int | None = None, checkpoint_dir=None) -> TrainResult:
     """Run up to ``steps`` training steps with monitoring.
@@ -325,7 +326,7 @@ def train(model: Model, schedule: Schedule, batches, steps: int,
     and training continues.
     """
     schedule.validate()
-    check_detector(recovery_window, mad_mult, detector_window)
+    check_run(steps, recovery_window, checkpoint_every, checkpoint_dir)
     optimizer = AdamState(model)
     log, events = [], []
     status = "completed"
@@ -342,11 +343,11 @@ def train(model: Model, schedule: Schedule, batches, steps: int,
                 break
             skipped += 1
             continue
-        if checkpoint_every and checkpoint_dir and (i + 1) % checkpoint_every == 0:
+        if checkpoint_every is not None and (i + 1) % checkpoint_every == 0:
             model.save(Path(checkpoint_dir) / f"step{i + 1:06d}.ckpt", step=i + 1)
         if detect and len(log) >= recovery_window:
-            window = log[-detector_window:]
-            event = detect_spike(window, recovery_window, mad_mult)
+            window = [(r.loss, r.grad_norm) for r in log[-DETECTOR_WINDOW:]]
+            event = detect_spike(window, recovery_window)
             if event is not None:
                 # Index events by absolute step so repeats are deduped.
                 event.start_step += len(log) - len(window)

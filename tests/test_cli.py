@@ -296,14 +296,29 @@ def test_train_rejected_inputs_leave_no_run_directory(ws, tmp_path):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("extra", [["--detector-window", "10"], ["--mad-mult=-1"]])
-def test_train_rejects_misfiring_spike_detector(ws, tmp_path, extra):
-    # a detector window below the default recovery window of 20 never fires;
-    # a negative MAD multiple turns a calm run into abort_recommended
+MISFIRING_SETTINGS = [
+    *(("train", "--recovery-window", v, "recovery_window") for v in ("0", "1", "-3", "101")),
+    *(("train", "--checkpoint-every", v, "checkpoint_every") for v in ("0", "-10")),
+    *((c, "--steps", "-1", "steps") for c in ("train", "grid-search", "coord-check"))]
+
+
+@pytest.mark.parametrize("command, flag, value, name", MISFIRING_SETTINGS,
+                         ids=[f"{c}{f}={v}" for c, f, v, _ in MISFIRING_SETTINGS])
+def test_train_rejects_misfiring_spike_detector(ws, tmp_path, capsys, command, flag, value,
+                                                name):
+    # a recovery window below 2 reads every step as a sustained spike and one
+    # above the detector window never fires; a cadence below 1 or a negative
+    # step count means nothing.  Each is named before anything is written.
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([json.loads((ws / "hp.json").read_text())]))
     out = tmp_path / "r"
-    assert run(["train", "--config", str(ws / "config.json"),
-                "--hyperparams", str(ws / "hp.json"), "--data", str(ws / "packed.dlm"),
-                "--steps", "2", "--out", str(out)] + extra) == 2
+    argv = {"train": ["--hyperparams", str(ws / "hp.json"), "--out", str(out)],
+            "grid-search": ["--grid", str(grid), "--out", str(out)],
+            "coord-check": ["--hyperparams", str(ws / "hp.json"), "--widths", "32",
+                            "--rows-per-batch", "2", "--out", str(out / "coord.csv")]}[command]
+    assert run([command, "--config", str(ws / "config.json"), "--data", str(ws / "packed.dlm"),
+                "--steps", "2", *argv, flag, value]) == 2
+    assert f"{name} must be" in capsys.readouterr().err
     assert not out.exists()
 
 

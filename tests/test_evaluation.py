@@ -12,7 +12,7 @@ from desklm.errors import ConfigError
 from desklm.evaluation import (BpbReport, bpb, build_report, check_weights,
                                direct_average, domain_loss, load_eval_set,
                                weighted_sum)
-from desklm.corpus import pack
+from desklm.corpus import Document, pack
 from desklm.model import Model, predicted_positions
 from desklm.presets import toy_config, toy_hyperparams
 from desklm.synth import build_corpus
@@ -219,6 +219,10 @@ def test_load_eval_set_counts(eval_env):
         load_eval_set("empty", [], tok)
     with pytest.raises(ConfigError):
         load_eval_set("no-bytes", [""], tok)
+    assert load_eval_set("d", [Document("x", "d", "ab cd"), "ef"], tok) == es
+    # bytes would otherwise be scored as the 10-character text "b'abc def'"
+    with pytest.raises(ConfigError, match="eval set 'raw': got a bytes"):
+        load_eval_set("raw", ["ab", b"abc def"], tok)
 
 
 def test_build_report_rows_and_aggregates(eval_env):

@@ -50,7 +50,7 @@ def test_count_params_published_512_row():
 def test_count_params_matches_built_model():
     cfg = small_config()
     model = Model.build(cfg, small_hp(), RngState(0))
-    assert model.num_params() == count_params(cfg)
+    assert sum(p.data.size for p in model.params.values()) == count_params(cfg)
     assert count_params(cfg) == 7008          # fits the <=1e4 gradient check
 
 
@@ -279,7 +279,7 @@ def test_loss_over_frozen_parameters_builds_no_tape():
 
 def test_full_model_gradient_check():
     model = build_small(seed=3)
-    assert model.num_params() <= 10_000
+    assert count_params(model.config) <= 10_000
     rng = RngState(5)
     toks = rng.integers(0, 32, size=(2, 16)).astype(np.int32)
     seg = np.ones_like(toks)

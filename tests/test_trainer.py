@@ -11,7 +11,7 @@ from desklm.model import Model
 from desklm.mup import ParamClass
 from desklm.presets import hyperparams_52b, toy_config, toy_hyperparams
 from desklm.tensor import RngState
-from desklm.trainer import (AdamState, GridEntry, Schedule, StepLog,
+from desklm.trainer import (DETECTOR_WINDOW, AdamState, GridEntry, Schedule, StepLog,
                             batch_iterator, clip_gradients, detect_spike,
                             grid_report, lr_at, read_runlog, run_coord_steps,
                             run_grid, score_run, smoothed, train, train_step,
@@ -365,33 +365,41 @@ def test_sustained_spike_by_monotone_grad_norms():
     assert event is not None and event.kind == "sustained"
 
 
-def test_detect_accepts_steplog_rows():
-    losses, gnorms = stable_window(30)
-    losses[-10:] = [5.0] * 10
-    rows = [StepLog(i, 0, l, g, 0, 0, 0) for i, (l, g) in enumerate(zip(losses, gnorms))]
-    event = detect_spike(rows, recovery_window=10)
-    assert event is not None and event.kind == "sustained"
-
-
-def test_negative_mad_mult_is_rejected_by_name():
-    # a band below the median would flag this calm window as sustained
+def test_detect_rejects_recovery_window_below_two():
+    # a grad-norm tail of one value is always "strictly increasing", so a
+    # window of 1 would read every calm step as a sustained spike
     losses, gnorms = stable_window(40)
-    with pytest.raises(ConfigError, match="mad_mult"):
-        detect_spike(list(zip(losses, gnorms)), recovery_window=10, mad_mult=-1.0)
+    with pytest.raises(ConfigError, match="recovery_window must be in"):
+        detect_spike(list(zip(losses, gnorms)), recovery_window=1)
+
+
+RUN_SETTING_CASES = [
+    *(({"recovery_window": w}, "recovery_window must be in") for w in (0, 1, -3)),
+    *(({"checkpoint_every": n}, "checkpoint_every must be >= 1") for n in (0, -10)),
+    ({"checkpoint_every": 2, "checkpoint_dir": None}, "needs a checkpoint_dir"),
+    ({"steps": -1}, "steps must be >= 0")]
+
+
+@pytest.mark.parametrize("settings, message", RUN_SETTING_CASES,
+                         ids=[",".join(f"{k}={v}" for k, v in settings.items())
+                              for settings, _ in RUN_SETTING_CASES])
+def test_train_rejects_run_settings_before_first_step(tmp_path, settings, message):
     model, schedule, packed, _ = tiny_setup()
     before = {k: p.data.copy() for k, p in model.params.items()}
-    with pytest.raises(ConfigError, match="mad_mult"):
-        train(model, schedule, batch_iterator(packed, 2, 5, seed=1), steps=5, mad_mult=-1.0)
+    kwargs = {"steps": 5, "checkpoint_dir": tmp_path, **settings}
+    with pytest.raises(ConfigError, match=message):
+        train(model, schedule, batch_iterator(packed, 2, 5, seed=1), **kwargs)
     for k, p in model.params.items():
         assert np.array_equal(p.data, before[k]), k
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_train_rejects_detector_window_shorter_than_recovery_window():
     model, schedule, packed, _ = tiny_setup()
     before = {k: p.data.copy() for k, p in model.params.items()}
-    with pytest.raises(ConfigError, match="detector_window 10 < recovery_window 20"):
+    with pytest.raises(ConfigError, match=rf"recovery_window must be in \[2, {DETECTOR_WINDOW}\]"):
         train(model, schedule, batch_iterator(packed, 2, 5, seed=1), steps=5,
-              detector_window=10)
+              recovery_window=DETECTOR_WINDOW + 1)
     for k, p in model.params.items():
         assert np.array_equal(p.data, before[k]), k
 

@@ -8,9 +8,10 @@ byte-identical output.
 ``src/`` is put on PYTHONPATH for every command.  The script builds a
 ``synth`` corpus of ``NBYTES`` bytes from ``SEED`` in a temporary directory
 and runs tok-train, ``tok-stats --weights``, ``corpus-dedup --log``,
-corpus-plan, corpus-pack, ``train --save-initial --checkpoint-every``,
-grid-search, ``coord-check --out`` and ``eval-bpb --weights --out --csv``
-there, with relative paths so no output names the directory.  It prints canonical JSON
+corpus-plan, corpus-pack, ``train --save-initial --checkpoint-every
+--recovery-window`` (a window of 8 over 20 steps, so the spike detector runs
+13 times), grid-search, ``coord-check --out`` and ``eval-bpb --weights --out
+--csv`` there, with relative paths so no output names the directory.  It prints canonical JSON
 ``{file: sha256}`` for every file written and every command's stdout
 (``<n>.<command>.stdout``).  The ``wall_ms`` column is dropped from
 ``run_log.csv`` and ``gridNNN.csv`` first, since it is a timing.  Exits 1
@@ -80,7 +81,7 @@ COMMANDS = [
      "--context-length", str(CONTEXT), "--out", "packed.dlm", "--json"],
     ["train", "--config", "config.json", "--hyperparams", "hp.json", "--data", "packed.dlm",
      "--steps", "20", "--seed", "3", "--out", "run", "--save-initial",
-     "--checkpoint-every", "10"],
+     "--checkpoint-every", "10", "--recovery-window", "8"],
     ["grid-search", "--config", "config.json", "--grid", "grid.json", "--data", "packed.dlm",
      "--steps", "8", "--seed", "3", "--out", "grid"],
     ["coord-check", "--config", "config.json", "--hyperparams", "hp.json",
