@@ -33,7 +33,6 @@ from . import trainer as trainer_mod
 from .errors import ConfigError, NonFiniteGradientError
 from .model import Model, ModelConfig, count_params
 from .mup import HyperParams, coordinate_check, hyperparams_to_dict
-from .tensor import RngState
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -96,14 +95,6 @@ def _derive_rows_per_batch(args, hp: HyperParams, config: ModelConfig) -> int:
             raise ConfigError("--rows-per-batch must be positive")
         return args.rows_per_batch
     return corpus_mod.sequences_per_step(hp.batch_tokens, config.context_length)
-
-
-def _build_run(config: ModelConfig, hp: HyperParams, rows_per_batch: int, seed: int):
-    """The model and schedule of one run; raises ConfigError before any file
-    of the run is written."""
-    model = Model.build(config, hp, RngState(seed))
-    schedule = trainer_mod.Schedule.for_rows(hp, rows_per_batch, config.context_length)
-    return model, schedule.validate()
 
 
 # -- tokenizer commands ------------------------------------------------------
@@ -238,7 +229,7 @@ def cmd_train(args, argv):
     config, packed = _load_run_inputs(args)
     hp = dio.decode_record(HyperParams, dio.read_json(args.hyperparams), args.hyperparams)
     rows_per_batch = _derive_rows_per_batch(args, hp, config)
-    model, schedule = _build_run(config, hp, rows_per_batch, args.seed)
+    model, schedule = trainer_mod.Job(config, hp, args.seed, rows_per_batch, args.steps).build()
     trainer_mod.check_run(args.steps, args.recovery_window, args.checkpoint_every,
                           Path(args.out) / "checkpoints")
 
@@ -299,8 +290,8 @@ def cmd_grid_search(args, argv):
                           "give them one batch_size_tokens or pass --rows-per-batch")
     rows_per_batch = rows[0]
     for hp in hp_list:
-        _build_run(config, hp, rows_per_batch, args.seed)
-    trainer_mod.check_run(args.steps)
+        trainer_mod.Job(config, hp, args.seed, rows_per_batch, args.steps).build()
+    trainer_mod.check_grid(args.steps)
 
     dirs = _start_run(args, argv, {"model_config.json": config.to_dict(),
                                    "grid.json": grid_spec})

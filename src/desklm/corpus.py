@@ -85,15 +85,14 @@ def dedup_paragraphs(docs) -> tuple[list, int]:
 
 # -- MinHash -----------------------------------------------------------------
 
-_P_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
 def shingle_hashes(text: str, n: int = 5) -> np.ndarray:
     """64-bit hashes of n-gram word shingles (whitespace-normalized).
 
     Documents with fewer than n words contribute a single whole-text
     shingle; a document with no words raises EmptyShingleError.
     """
+    if n < 1:
+        raise ConfigError(f"shingle n must be >= 1, got {n}")
     words = text.split()
     if not words:
         raise EmptyShingleError("document has no words to shingle")
@@ -174,6 +173,9 @@ def dedup(docs, threshold: float = 0.8, k: int = 128, shingle_n: int = 5,
     """
     if not 0.0 < threshold <= 1.0:
         raise ConfigError("threshold must be in (0, 1]")
+    for name, value in (("k", k), ("bands", bands), ("shingle_n", shingle_n)):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     if k % bands != 0:
         raise ConfigError(f"k={k} must divide evenly into {bands} bands")
     rows = k // bands

@@ -26,7 +26,6 @@ from enum import Enum
 
 from . import io as dio
 from .errors import ClassificationError, ConfigError
-from .tensor import RngState
 
 
 class ParamClass(Enum):
@@ -196,29 +195,25 @@ def coordinate_check(base_config, hp: HyperParams, widths, steps: int,
     ``break_transfer=True`` deliberately skips the matrix_lr rescaling, the
     negative control that makes activations blow up with width.
     """
-    # model and trainer import this module, so importing them at the top
-    # would be a cycle.  The function stays here, not in trainer, because
-    # callers (the benchmark's tracing among them) find it as
-    # mup.coordinate_check.
+    # A top-level import of trainer, which imports this module, is a cycle; the
+    # function stays here because the benchmark's tracing finds it by this name.
     from . import trainer as _trainer
-    from .model import Model
 
     base_w = base_config.hidden_size
-    rows, diverged, max_rms = [], {}, {}
+    jobs = []
     for width in widths:
-        cfg = scaled_config(base_config, width)
         hp_w = transfer(hp, WidthPair(base_w, width))
-        if break_transfer:
-            hp_w = replace(hp_w, matrix_lr=hp.matrix_lr)
-        model = Model.build(cfg, hp_w, RngState(seed))
-        schedule = _trainer.Schedule.for_rows(hp_w, rows_per_batch, cfg.context_length)
-        batches = _trainer.batch_iterator(packed, rows_per_batch, max(steps, 1), seed)
-        stats_rows, was_diverged = _trainer.run_coord_steps(model, schedule, batches, steps)
-        peak = 0.0
-        for step, metric, value in stats_rows:
-            rows.append((width, step, metric, value))
-            if metric == "pre_logit_rms" and math.isfinite(value):
-                peak = max(peak, value)
-        diverged[width] = was_diverged
-        max_rms[width] = peak
+        hp_w = replace(hp_w, matrix_lr=hp.matrix_lr) if break_transfer else hp_w
+        jobs.append(_trainer.Job(scaled_config(base_config, width), hp_w, seed,
+                                 rows_per_batch, steps))
+    rows, diverged, max_rms = [], {}, {}
+    for job, result in zip(jobs, _trainer.run_jobs(jobs, packed)):
+        width = job.config.hidden_size
+        for r in result.log:
+            rows += [(width, r.step, "loss", r.loss),
+                     (width, r.step, "pre_logit_rms", r.pre_logit_rms)]
+            rows += [(width, r.step, f"block{j}_rms", v) for j, v in enumerate(r.block_rms)]
+        diverged[width] = result.status == "diverged"
+        max_rms[width] = max((r.pre_logit_rms for r in result.log
+                              if math.isfinite(r.pre_logit_rms)), default=0.0)
     return CoordCheckResult(rows=rows, diverged=diverged, max_rms=max_rms)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io as dio
 from .errors import ConfigError, NonFiniteGradientError
-from .model import Model
+from .model import Model, ModelConfig
 from .mup import HyperParams, ParamClass, classify, hyperparams_to_dict
 from .tensor import RngState
 
@@ -42,15 +42,6 @@ class Schedule:
     def from_hyperparams(cls, hp: HyperParams) -> "Schedule":
         """Step by the published ``hp.batch_tokens``."""
         return cls(hp, hp.batch_tokens)
-
-    @classmethod
-    def for_rows(cls, hp: HyperParams, rows_per_batch: int,
-                 context_length: int) -> "Schedule":
-        """The schedule of a run training ``rows_per_batch`` rows of
-        ``context_length`` tokens a step.  It steps by the tokens actually
-        trained, so logged token counts are honest; ``desklm train``,
-        ``run_grid`` and ``coordinate_check`` all use it."""
-        return cls(hp, rows_per_batch * context_length)
 
     @property
     def warmup_tokens(self) -> int:
@@ -363,27 +354,43 @@ def train(model: Model, schedule: Schedule, batches, steps: int,
     return TrainResult(log=log, events=events, status=status, skipped_steps=skipped)
 
 
-def run_coord_steps(model: Model, schedule: Schedule, batches, steps: int):
-    """Drive a short run capturing loss and activation statistics per step.
+@dataclass(frozen=True)
+class Job:
+    """One model to build and train; ``seed`` draws its weights and batch order."""
+    config: ModelConfig
+    hp: HyperParams
+    seed: int
+    rows_per_batch: int
+    steps: int
 
-    Returns (rows, diverged) where rows are (step, metric, value) with
-    metrics ``loss``, ``pre_logit_rms`` and ``block{i}_rms``; one run can
-    therefore feed both a loss-curve comparison and a coordinate check.
-    steps=0 records a single initialization-only forward pass, diverged
-    if its loss is not finite.
-    """
-    def emit(step, loss, pre_logit_rms, block_rms):
-        return [(step, "loss", loss), (step, "pre_logit_rms", pre_logit_rms)] + [
-            (step, f"block{j}_rms", v) for j, v in enumerate(block_rms)]
+    def build(self):
+        """The model and a validated schedule that steps by the tokens trained."""
+        model = Model.build(self.config, self.hp, RngState(self.seed))
+        schedule = Schedule(self.hp, self.rows_per_batch * self.config.context_length)
+        return model, schedule.validate()
 
-    if steps == 0:
-        tokens, segments = next(iter(batches))
-        loss = model.loss(tokens, segments).item()
-        return emit(0, loss, **model.last_stats), not math.isfinite(loss)
-    result = train(model, schedule, batches, steps, detect=False)
-    rows = [r for row in result.log
-            for r in emit(row.step, row.loss, row.pre_logit_rms, row.block_rms)]
-    return rows, result.status == "diverged"
+
+def run_coord_steps(model: Model, schedule: Schedule, batches, steps: int) -> TrainResult:
+    """Train ``steps`` steps without spike detection.  steps=0 logs one forward at
+    initialization as step 0 (grad norm NaN, rates 0), diverged if its loss is not finite."""
+    if steps != 0:
+        return train(model, schedule, batches, steps, detect=False)
+    t0 = time.perf_counter()
+    tokens, segments = next(iter(batches))
+    loss = model.loss(tokens, segments).item()
+    row = StepLog(0, 0, loss, math.nan, 0.0, 0.0, (time.perf_counter() - t0) * 1e3,
+                  **model.last_stats)
+    return TrainResult([row], [], "completed" if math.isfinite(loss) else "diverged")
+
+
+def run_jobs(jobs, packed) -> list:
+    """Build and train each job on rows of ``packed``; TrainResults in input order."""
+    results = []
+    for job in jobs:
+        model, schedule = job.build()
+        batches = batch_iterator(packed, job.rows_per_batch, max(job.steps, 1), job.seed)
+        results.append(run_coord_steps(model, schedule, batches, job.steps))
+    return results
 
 
 # -- grid search -----------------------------------------------------------
@@ -445,6 +452,12 @@ def score_run(log, status):
     return score, final, nonmono, gpen
 
 
+def check_grid(steps: int):
+    """The rule for a grid search's length: it scores a curve, so steps >= 1."""
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1 for a grid search, got {steps}")
+
+
 def run_grid(base_config, hp_list, packed, steps: int, seed: int,
              rows_per_batch: int = 4, out_dir=None) -> list:
     """Train every candidate on an identical data order and rank them.
@@ -452,20 +465,19 @@ def run_grid(base_config, hp_list, packed, steps: int, seed: int,
     Returns GridEntry rows sorted best-first.  The ranking is invariant to
     the order of ``hp_list``: ties break on the canonical config JSON.
     Every run's full curve is persisted under ``out_dir`` when given.
+    Candidates train without spike detection: no event changes a score.
     """
+    check_grid(steps)
+    jobs = [Job(base_config, hp, seed, rows_per_batch, steps) for hp in hp_list]
     entries = []
-    for idx, hp in enumerate(hp_list):
-        model = Model.build(base_config, hp, RngState(seed))
-        schedule = Schedule.for_rows(hp, rows_per_batch, base_config.context_length)
-        batches = batch_iterator(packed, rows_per_batch, steps, seed)
-        result = train(model, schedule, batches, steps, stop_on_abort=False)
+    for idx, (job, result) in enumerate(zip(jobs, run_jobs(jobs, packed))):
         score, final, nonmono, gpen = score_run(result.log, result.status)
         curve_path = None
         if out_dir is not None:
             curve_path = str(Path(out_dir) / f"grid{idx:03d}.csv")
             write_runlog(curve_path, result.log)
         entries.append(GridEntry(
-            config=hyperparams_to_dict(hp), score=score, status=result.status,
+            config=hyperparams_to_dict(job.hp), score=score, status=result.status,
             final_smoothed_loss=final, non_monotonicity=nonmono,
             grad_trend_penalty=gpen, curve_path=curve_path))
     entries.sort(key=lambda e: (e.score, dio.canonical_json(e.config)))

@@ -155,6 +155,14 @@ def test_corpus_dedup_skip_flags(ws, tmp_path, capsys):
     assert payload["near_duplicates_dropped"] == 0
 
 
+def test_corpus_dedup_rejects_zero_bands(ws, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    assert run(["corpus-dedup", "--corpus", str(ws / "corpus.jsonl"), "--out", str(out),
+                "--skip-paragraph", "--bands", "0"]) == 2
+    assert "bands must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_corpus_plan_reference_quotas(ws, capsys):
     code = run(["corpus-plan", "--manifest", str(ws / "manifest.json"), "--json"])
     assert code == 0
@@ -299,7 +307,8 @@ def test_train_rejected_inputs_leave_no_run_directory(ws, tmp_path):
 MISFIRING_SETTINGS = [
     *(("train", "--recovery-window", v, "recovery_window") for v in ("0", "1", "-3", "101")),
     *(("train", "--checkpoint-every", v, "checkpoint_every") for v in ("0", "-10")),
-    *((c, "--steps", "-1", "steps") for c in ("train", "grid-search", "coord-check"))]
+    *((c, "--steps", "-1", "steps") for c in ("train", "grid-search", "coord-check")),
+    ("grid-search", "--steps", "0", "steps")]
 
 
 @pytest.mark.parametrize("command, flag, value, name", MISFIRING_SETTINGS,
@@ -308,7 +317,8 @@ def test_train_rejects_misfiring_spike_detector(ws, tmp_path, capsys, command, f
                                                 name):
     # a recovery window below 2 reads every step as a sustained spike and one
     # above the detector window never fires; a cadence below 1 or a negative
-    # step count means nothing.  Each is named before anything is written.
+    # step count means nothing, and a grid of zero steps has no curve to
+    # score.  Each is named before anything is written.
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps([json.loads((ws / "hp.json").read_text())]))
     out = tmp_path / "r"

@@ -162,6 +162,13 @@ def test_dedup_parameter_validation():
         dedup([], threshold=1.5)
     with pytest.raises(ConfigError):
         dedup([], k=100, bands=16)
+    # shingles of no words, an empty signature or no bands would corrupt the
+    # kept set or crash mid-corpus, so each is refused before the first document
+    for name, value in [("k", 0), ("bands", 0), ("shingle_n", 0), ("shingle_n", -2)]:
+        with pytest.raises(ConfigError, match=f"{name} must be >= 1"):
+            dedup([], **{name: value})
+    with pytest.raises(ConfigError, match="n must be >= 1"):
+        shingle_hashes("one two three", n=0)
 
 
 def test_write_removal_log(tmp_path):

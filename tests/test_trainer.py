@@ -11,10 +11,10 @@ from desklm.model import Model
 from desklm.mup import ParamClass
 from desklm.presets import hyperparams_52b, toy_config, toy_hyperparams
 from desklm.tensor import RngState
-from desklm.trainer import (DETECTOR_WINDOW, AdamState, GridEntry, Schedule, StepLog,
+from desklm.trainer import (DETECTOR_WINDOW, AdamState, GridEntry, Job, Schedule, StepLog,
                             batch_iterator, clip_gradients, detect_spike,
                             grid_report, lr_at, read_runlog, run_coord_steps,
-                            run_grid, score_run, smoothed, train, train_step,
+                            run_grid, run_jobs, score_run, smoothed, train, train_step,
                             write_runlog)
 
 
@@ -99,7 +99,7 @@ def test_schedule_validation():
                                       min_lr=0.0)).validate()
     # hp itself is valid; only the run's step size pushes warmup past the end
     with pytest.raises(ConfigError, match="warmup"):
-        Schedule.for_rows(hp, hp.schedule_tokens, 1).validate()
+        Schedule(hp, hp.schedule_tokens).validate()
     with pytest.raises(TypeError):
         Schedule.from_hyperparams(hp, warmup_steps=5)
 
@@ -238,29 +238,46 @@ def test_checkpoint_every(tmp_path):
 
 def test_run_coord_steps_emits_loss_and_rms():
     model, schedule, packed, _ = tiny_setup(steps=3)
-    rows, diverged = run_coord_steps(
-        model, schedule, batch_iterator(packed, 2, 3, seed=1), steps=3)
-    assert not diverged
-    metrics = {m for _, m, _ in rows}
-    assert metrics == {"loss", "pre_logit_rms", "block0_rms"}
-    assert {s for s, _, _ in rows} == {1, 2, 3}
+    result = run_coord_steps(model, schedule, batch_iterator(packed, 2, 3, seed=1), steps=3)
+    assert result.status == "completed" and result.events == []
+    assert [r.step for r in result.log] == [1, 2, 3]
+    for r in result.log:
+        assert math.isfinite(r.loss) and r.pre_logit_rms > 0 and len(r.block_rms) == 1
 
 
 def test_run_coord_steps_zero_steps_snapshots_init():
     model, schedule, packed, _ = tiny_setup()
-    rows, diverged = run_coord_steps(
-        model, schedule, batch_iterator(packed, 2, 1, seed=1), steps=0)
-    assert not diverged
-    assert {s for s, _, _ in rows} == {0}
+    result = run_coord_steps(model, schedule, batch_iterator(packed, 2, 1, seed=1), steps=0)
+    assert result.status == "completed"
+    [row] = result.log
+    assert (row.step, row.tokens, row.lr_vector, row.lr_matrix) == (0, 0, 0.0, 0.0)
+    assert math.isnan(row.grad_norm) and math.isfinite(row.loss)
+    assert row.pre_logit_rms > 0 and len(row.block_rms) == 1
 
 
 def test_run_coord_steps_zero_steps_reports_nonfinite_loss():
     model, schedule, packed, _ = tiny_setup(output_mult=1e308)
     with np.errstate(over="ignore"):    # the logits overflow on purpose
-        rows, diverged = run_coord_steps(
+        result = run_coord_steps(
             model, schedule, batch_iterator(packed, 2, 1, seed=1), steps=0)
-    assert diverged
-    assert [v for _, m, v in rows if m == "loss"] == [math.inf]
+    assert result.status == "diverged"
+    assert [r.loss for r in result.log] == [math.inf]
+
+
+def test_run_jobs_equals_building_and_training_each_job():
+    _, _, packed, hp = tiny_setup(steps=6)
+    config = toy_config(32, layer_num=1, vocab_size=64, context_length=16)
+    jobs = [Job(config, hp, 1, 2, 6), Job(config, replace(hp, matrix_lr=0.05), 2, 1, 4)]
+    results = run_jobs(jobs, packed)
+    for job, result in zip(jobs, results):
+        model, schedule = job.build()
+        by_hand = train(model, schedule,
+                        batch_iterator(packed, job.rows_per_batch, job.steps, job.seed),
+                        job.steps, detect=False)
+        assert result.status == by_hand.status == "completed"
+        assert [(r.loss, r.grad_norm) for r in result.log] == [
+            (r.loss, r.grad_norm) for r in by_hand.log]
+    assert [len(r.log) for r in results] == [6, 4]
 
 
 # -- batch iterator -------------------------------------------------------------------
@@ -453,6 +470,38 @@ def test_grid_ranking_is_order_invariant(tmp_path):
     assert report["all_failed"] is False
     assert [r["score"] for r in report["ranking"]] == sorted(
         r["score"] for r in report["ranking"])
+
+
+def test_grid_curve_is_the_detected_run_without_its_events(tmp_path):
+    # The grid trains without the spike detector: with stop_on_abort off an
+    # event never changes a run, so the curve and score match a detected run
+    # on a candidate whose detector does report an event.
+    config = toy_config(32, layer_num=1, vocab_size=64, context_length=16)
+    rng = np.random.default_rng(5)
+    packed = pack([list(map(int, rng.integers(1, 64, size=20))) for _ in range(10)],
+                  16, pad_id=0)
+    hp = replace(toy_hyperparams(steps=60, batch_tokens=32, warmup_steps=20),
+                 vector_lr=0.1, matrix_lr=0.1)
+    [entry] = run_grid(config, [hp], packed, steps=60, seed=4, rows_per_batch=2,
+                       out_dir=tmp_path)
+    model, schedule = Job(config, hp, 4, 2, 60).build()
+    detected = train(model, schedule, batch_iterator(packed, 2, 60, 4), 60,
+                     detect=True, stop_on_abort=False)
+    assert detected.events
+
+    def curve(log):
+        return [(r.step, r.tokens, r.loss, r.grad_norm, r.lr_vector, r.lr_matrix) for r in log]
+    assert curve(read_runlog(entry.curve_path)) == curve(detected.log)
+    score = score_run(detected.log, detected.status)[0]
+    assert (entry.status, entry.score) == (detected.status, score)
+
+
+def test_grid_rejects_zero_steps():
+    # a grid scores a curve, and zero steps leave none to score
+    _, _, packed, hp = tiny_setup()
+    config = toy_config(32, layer_num=1, vocab_size=64, context_length=16)
+    with pytest.raises(ConfigError, match="steps must be >= 1"):
+        run_grid(config, [hp], packed, steps=0, seed=0, rows_per_batch=2)
 
 
 def test_grid_report_flags_all_failed():

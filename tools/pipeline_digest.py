@@ -10,10 +10,12 @@ byte-identical output.
 and runs tok-train, ``tok-stats --weights``, ``corpus-dedup --log``,
 corpus-plan, corpus-pack, ``train --save-initial --checkpoint-every
 --recovery-window`` (a window of 8 over 20 steps, so the spike detector runs
-13 times), grid-search, ``coord-check --out`` and ``eval-bpb --weights --out
---csv`` there, with relative paths so no output names the directory.  It prints canonical JSON
-``{file: sha256}`` for every file written and every command's stdout
-(``<n>.<command>.stdout``).  The ``wall_ms`` column is dropped from
+13 times), grid-search (24 steps, longer than the default recovery window of
+20, so a grid that ran the detector would run it), ``coord-check --out`` at 3
+steps and at 0 (one forward at initialization) and ``eval-bpb --weights --out
+--csv`` there, with relative paths so no output names the directory.  It
+prints canonical JSON ``{file: sha256}`` for every file written and every
+command's stdout (``<n>.<command>.stdout``).  The ``wall_ms`` column is dropped from
 ``run_log.csv`` and ``gridNNN.csv`` first, since it is a timing.  Exits 1
 if any command exits non-zero.  Compare two trees with
 
@@ -83,9 +85,11 @@ COMMANDS = [
      "--steps", "20", "--seed", "3", "--out", "run", "--save-initial",
      "--checkpoint-every", "10", "--recovery-window", "8"],
     ["grid-search", "--config", "config.json", "--grid", "grid.json", "--data", "packed.dlm",
-     "--steps", "8", "--seed", "3", "--out", "grid"],
+     "--steps", "24", "--seed", "3", "--out", "grid"],
     ["coord-check", "--config", "config.json", "--hyperparams", "hp.json",
      "--widths", "32,64", "--steps", "3", "--data", "packed.dlm", "--out", "coord.csv"],
+    ["coord-check", "--config", "config.json", "--hyperparams", "hp.json",
+     "--widths", "32,64", "--steps", "0", "--data", "packed.dlm", "--out", "coord0.csv"],
     ["eval-bpb", "--checkpoint", "run/checkpoints/final.ckpt", "--tokenizer", "tok.json",
      "--eval", "eval.jsonl", "--weights", "profiles.json", "--out", "report.json",
      "--csv", "report.csv", "--json"],
