@@ -91,8 +91,6 @@ def _start_run(args, argv, snapshots: dict) -> dict:
 
 def _derive_rows_per_batch(args, hp: HyperParams, config: ModelConfig) -> int:
     if args.rows_per_batch is not None:
-        if args.rows_per_batch <= 0:
-            raise ConfigError("--rows-per-batch must be positive")
         return args.rows_per_batch
     return corpus_mod.sequences_per_step(hp.batch_tokens, config.context_length)
 
@@ -229,15 +227,15 @@ def cmd_train(args, argv):
     config, packed = _load_run_inputs(args)
     hp = dio.decode_record(HyperParams, dio.read_json(args.hyperparams), args.hyperparams)
     rows_per_batch = _derive_rows_per_batch(args, hp, config)
-    model, schedule = trainer_mod.Job(config, hp, args.seed, rows_per_batch, args.steps).build()
+    job = trainer_mod.Job(config, hp, args.seed, rows_per_batch, args.steps)
     trainer_mod.check_run(args.steps, args.recovery_window, args.checkpoint_every,
                           Path(args.out) / "checkpoints")
 
     dirs = _start_run(args, argv, {"model_config.json": config.to_dict(),
                                    "hyperparams.json": hyperparams_to_dict(hp)})
+    model, schedule, batches = job.build(packed)
     if args.save_initial:
         model.save(dirs["checkpoints"] / "initial.ckpt", step=0)
-    batches = trainer_mod.batch_iterator(packed, rows_per_batch, args.steps, args.seed)
     result = trainer_mod.train(
         model, schedule, batches, args.steps, detect=not args.no_spike_detection,
         recovery_window=args.recovery_window, stop_on_abort=not args.keep_going,
@@ -289,8 +287,8 @@ def cmd_grid_search(args, argv):
         raise ConfigError(f"grid candidates train different rows per batch ({listing}); "
                           "give them one batch_size_tokens or pass --rows-per-batch")
     rows_per_batch = rows[0]
-    for hp in hp_list:
-        trainer_mod.Job(config, hp, args.seed, rows_per_batch, args.steps).build()
+    for hp in hp_list:     # making a Job checks its run; nothing is built yet
+        trainer_mod.Job(config, hp, args.seed, rows_per_batch, args.steps)
     trainer_mod.check_grid(args.steps)
 
     dirs = _start_run(args, argv, {"model_config.json": config.to_dict(),
@@ -321,6 +319,9 @@ def cmd_coord_check(args):
     widths = sorted({int(w) for w in args.widths.split(",") if w.strip()})
     if not widths:
         raise ConfigError("--widths must list at least one width")
+    if not args.rms_ratio_limit >= 1:
+        raise ConfigError(f"--rms-ratio-limit must be >= 1, the base width's own ratio; "
+                          f"got {args.rms_ratio_limit:g}")
     result = coordinate_check(config, hp, widths, args.steps, packed, args.seed,
                               rows_per_batch=args.rows_per_batch,
                               break_transfer=args.break_transfer)

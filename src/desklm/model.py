@@ -116,6 +116,14 @@ def predicted_positions(segments: np.ndarray) -> np.ndarray:
     return mask
 
 
+def check_hyperparams(config: ModelConfig, hp: HyperParams):
+    """The rule that ``hp`` fits ``config``: both name one rotary base."""
+    if hp.rope_theta != config.rope_theta:
+        raise ConfigError(
+            f"hyperparameter rope_theta {hp.rope_theta!r} differs from "
+            f"model config rope_theta {config.rope_theta!r}")
+
+
 class Model:
     """The transformer plus its parameter table.
 
@@ -139,10 +147,7 @@ class Model:
         trunc_normal(0, matrix_std), embedding and lm head trunc_normal(0,
         vector_std), norm gains 1 and biases 0.  The rotary base comes from
         ``config``; ``hp.rope_theta`` must match it."""
-        if hp.rope_theta != config.rope_theta:
-            raise ConfigError(
-                f"hyperparameter rope_theta {hp.rope_theta!r} differs from "
-                f"model config rope_theta {config.rope_theta!r}")
+        check_hyperparams(config, hp)
         params = {}
         for name, shape in param_shapes(config).items():
             if name.endswith(".gain"):

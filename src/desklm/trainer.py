@@ -19,7 +19,7 @@ import numpy as np
 
 from . import io as dio
 from .errors import ConfigError, NonFiniteGradientError
-from .model import Model, ModelConfig
+from .model import Model, ModelConfig, check_hyperparams
 from .mup import HyperParams, ParamClass, classify, hyperparams_to_dict
 from .tensor import RngState
 
@@ -179,12 +179,15 @@ RECOVERY_WINDOW, MAD_MULT, DETECTOR_WINDOW = 20, 4.0, 100
 
 
 def check_run(steps: int = 0, recovery_window: int = RECOVERY_WINDOW,
-              checkpoint_every: int | None = None, checkpoint_dir=None):
-    """The rule for a run's settings, which `train` checks before its first
-    step.  A ``recovery_window`` below 2 reads a one-value grad-norm tail as
-    rising, so every step is sustained; above DETECTOR_WINDOW it never fires."""
+              checkpoint_every: int | None = None, checkpoint_dir=None,
+              rows_per_batch: int = 1):
+    """The rule for a run's settings, checked before the first step by `train`,
+    `batch_iterator` and `Job`.  A ``recovery_window`` below 2 reads a one-value grad-norm
+    tail as rising, so every step is sustained; above DETECTOR_WINDOW it never fires."""
     if steps < 0:
         raise ConfigError(f"steps must be >= 0, got {steps}")
+    if rows_per_batch < 1:
+        raise ConfigError(f"rows_per_batch must be >= 1, got {rows_per_batch}")
     if not 2 <= recovery_window <= DETECTOR_WINDOW:
         raise ConfigError(f"recovery_window must be in [2, {DETECTOR_WINDOW}], "
                           f"got {recovery_window}")
@@ -264,8 +267,7 @@ def batch_iterator(packed, rows_per_batch: int, steps: int, seed: int):
     n = tokens.shape[0]
     if n == 0:
         raise ConfigError("no packed rows to train on")
-    if rows_per_batch <= 0:
-        raise ConfigError(f"rows_per_batch must be positive, got {rows_per_batch}")
+    check_run(rows_per_batch=rows_per_batch)
     rng = RngState(seed)
     order = []
     for _ in range(steps):
@@ -356,18 +358,30 @@ def train(model: Model, schedule: Schedule, batches, steps: int,
 
 @dataclass(frozen=True)
 class Job:
-    """One model to build and train; ``seed`` draws its weights and batch order."""
+    """One model to build and train; ``seed`` draws its weights and batch order.
+    Every rule of the run is checked when a Job is made, so any Job can train."""
     config: ModelConfig
     hp: HyperParams
     seed: int
     rows_per_batch: int
     steps: int
 
-    def build(self):
-        """The model and a validated schedule that steps by the tokens trained."""
+    def __post_init__(self):
+        check_hyperparams(self.config.validate(), self.hp)
+        self.schedule.validate()
+        check_run(self.steps, rows_per_batch=self.rows_per_batch)
+
+    @property
+    def schedule(self) -> Schedule:
+        """Steps by the tokens one batch trains."""
+        return Schedule(self.hp, self.rows_per_batch * self.config.context_length)
+
+    def build(self, packed):
+        """The model, the schedule and the batches drawn from ``packed`` (one
+        batch at steps=0, for the forward at initialization)."""
         model = Model.build(self.config, self.hp, RngState(self.seed))
-        schedule = Schedule(self.hp, self.rows_per_batch * self.config.context_length)
-        return model, schedule.validate()
+        batches = batch_iterator(packed, self.rows_per_batch, max(self.steps, 1), self.seed)
+        return model, self.schedule, batches
 
 
 def run_coord_steps(model: Model, schedule: Schedule, batches, steps: int) -> TrainResult:
@@ -385,12 +399,7 @@ def run_coord_steps(model: Model, schedule: Schedule, batches, steps: int) -> Tr
 
 def run_jobs(jobs, packed) -> list:
     """Build and train each job on rows of ``packed``; TrainResults in input order."""
-    results = []
-    for job in jobs:
-        model, schedule = job.build()
-        batches = batch_iterator(packed, job.rows_per_batch, max(job.steps, 1), job.seed)
-        results.append(run_coord_steps(model, schedule, batches, job.steps))
-    return results
+    return [run_coord_steps(*job.build(packed), job.steps) for job in jobs]
 
 
 # -- grid search -----------------------------------------------------------

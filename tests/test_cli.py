@@ -308,7 +308,8 @@ MISFIRING_SETTINGS = [
     *(("train", "--recovery-window", v, "recovery_window") for v in ("0", "1", "-3", "101")),
     *(("train", "--checkpoint-every", v, "checkpoint_every") for v in ("0", "-10")),
     *((c, "--steps", "-1", "steps") for c in ("train", "grid-search", "coord-check")),
-    ("grid-search", "--steps", "0", "steps")]
+    ("grid-search", "--steps", "0", "steps"),
+    *(("coord-check", "--rms-ratio-limit", v, "--rms-ratio-limit") for v in ("nan", "-1", "0"))]
 
 
 @pytest.mark.parametrize("command, flag, value, name", MISFIRING_SETTINGS,
@@ -318,7 +319,8 @@ def test_train_rejects_misfiring_spike_detector(ws, tmp_path, capsys, command, f
     # a recovery window below 2 reads every step as a sustained spike and one
     # above the detector window never fires; a cadence below 1 or a negative
     # step count means nothing, and a grid of zero steps has no curve to
-    # score.  Each is named before anything is written.
+    # score; the base width's own ratio is 1, so a limit below 1 (or NaN)
+    # fails every coordinate check.  Each is named before anything is written.
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps([json.loads((ws / "hp.json").read_text())]))
     out = tmp_path / "r"
@@ -350,7 +352,43 @@ def test_train_and_grid_search_log_the_same_run(ws, tmp_path):
     assert [(r.loss, r.tokens) for r in a] == [(r.loss, r.tokens) for r in b]
 
 
+def test_train_spike_flags_change_the_exit_not_the_arithmetic(ws, tmp_path):
+    # A recovery window of 2 reads the early descent as a sustained spike: the
+    # plain run stops, --keep-going logs each event and trains on, and
+    # --no-spike-detection never looks.  Detection never touches the weights.
+    outs = {}
+    for flag, code in (("", 3), ("--keep-going", 0), ("--no-spike-detection", 0)):
+        outs[flag] = tmp_path / (flag.strip("-") or "plain")
+        assert run(["train", "--config", str(ws / "config.json"),
+                    "--hyperparams", str(ws / "hp.json"), "--data", str(ws / "packed.dlm"),
+                    "--steps", "30", "--recovery-window", "2", "--out", str(outs[flag]),
+                    *filter(None, [flag])]) == code
+    kept, blind = outs["--keep-going"], outs["--no-spike-detection"]
+    assert len(json.loads((kept / "logs" / "events.json").read_text())) > 1
+    assert json.loads((blind / "logs" / "events.json").read_text()) == []
+    assert ((kept / "checkpoints" / "final.ckpt").read_bytes()
+            == (blind / "checkpoints" / "final.ckpt").read_bytes())
+
+    def curve(out):
+        return [(r.step, r.tokens, r.loss, r.grad_norm, r.lr_vector, r.lr_matrix)
+                for r in trainer_mod.read_runlog(out / "logs" / "run_log.csv")]
+    assert len(curve(kept)) == 30 and curve(kept) == curve(blind)
+
+
 # -- grid search --------------------------------------------------------------------------
+
+def test_grid_search_builds_each_candidate_once(ws, tmp_path, monkeypatch):
+    hp = hyperparams_to_dict(toy_hyperparams(steps=6, batch_tokens=64, warmup_steps=2))
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps([dict(hp, learning_rate=hp["learning_rate"] / n)
+                                     for n in (1, 2, 4)]))
+    builds, real_build = [], Model.build
+    monkeypatch.setattr(Model, "build", lambda *a: builds.append(a) or real_build(*a))
+    assert run(["grid-search", "--config", str(ws / "config.json"),
+                "--grid", str(grid_path), "--data", str(ws / "packed.dlm"),
+                "--steps", "2", "--rows-per-batch", "2", "--out", str(tmp_path / "g")]) == 0
+    assert len(builds) == 3
+
 
 def test_grid_search_ranks_and_persists(ws, tmp_path, capsys):
     hp = hyperparams_to_dict(toy_hyperparams(steps=6, batch_tokens=64,
@@ -475,7 +513,7 @@ def test_coord_check_strict_limit_fails(ws, tmp_path, capsys):
     code = run(["coord-check", "--config", str(cfg),
                 "--hyperparams", str(ws / "hp.json"), "--widths", "16,32",
                 "--steps", "2", "--data", str(ws / "packed.dlm"),
-                "--rows-per-batch", "2", "--rms-ratio-limit", "0.5"])
+                "--rows-per-batch", "2", "--rms-ratio-limit", "1"])
     assert code == 1
     assert "NOT stable" in capsys.readouterr().out
 

@@ -270,7 +270,7 @@ def test_run_jobs_equals_building_and_training_each_job():
     jobs = [Job(config, hp, 1, 2, 6), Job(config, replace(hp, matrix_lr=0.05), 2, 1, 4)]
     results = run_jobs(jobs, packed)
     for job, result in zip(jobs, results):
-        model, schedule = job.build()
+        model, schedule, _ = job.build(packed)
         by_hand = train(model, schedule,
                         batch_iterator(packed, job.rows_per_batch, job.steps, job.seed),
                         job.steps, detect=False)
@@ -278,6 +278,28 @@ def test_run_jobs_equals_building_and_training_each_job():
         assert [(r.loss, r.grad_norm) for r in result.log] == [
             (r.loss, r.grad_norm) for r in by_hand.log]
     assert [len(r.log) for r in results] == [6, 4]
+
+
+JOB_CONFIG = toy_config(32, layer_num=1, vocab_size=64, context_length=16)
+JOB_HP = toy_hyperparams(steps=30, batch_tokens=32, warmup_steps=5)
+JOB_CASES = {
+    "rope_theta": ({"hp": replace(JOB_HP, rope_theta=500.0)}, "rope_theta"),
+    # 5 warmup steps of 64 rows x 16 tokens outlast the 30 x 32-token schedule
+    "warmup": ({"rows_per_batch": 64}, "warmup must end"),
+    "rows_per_batch=0": ({"rows_per_batch": 0}, "rows_per_batch must be >= 1"),
+    "steps=-1": ({"steps": -1}, "steps must be >= 0"),
+    "config": ({"config": replace(JOB_CONFIG, attention_heads=3)},
+               "divisible by attention_heads")}
+
+
+@pytest.mark.parametrize("change, message", JOB_CASES.values(), ids=JOB_CASES)
+def test_job_checks_every_rule_when_made_and_builds_nothing(monkeypatch, change, message):
+    builds = []
+    monkeypatch.setattr(Model, "build", lambda *a: builds.append(a))
+    with pytest.raises(ConfigError, match=message):
+        Job(**{"config": JOB_CONFIG, "hp": JOB_HP, "seed": 0, "rows_per_batch": 2,
+               "steps": 6, **change})
+    assert builds == []
 
 
 # -- batch iterator -------------------------------------------------------------------
@@ -484,9 +506,8 @@ def test_grid_curve_is_the_detected_run_without_its_events(tmp_path):
                  vector_lr=0.1, matrix_lr=0.1)
     [entry] = run_grid(config, [hp], packed, steps=60, seed=4, rows_per_batch=2,
                        out_dir=tmp_path)
-    model, schedule = Job(config, hp, 4, 2, 60).build()
-    detected = train(model, schedule, batch_iterator(packed, 2, 60, 4), 60,
-                     detect=True, stop_on_abort=False)
+    model, schedule, batches = Job(config, hp, 4, 2, 60).build(packed)
+    detected = train(model, schedule, batches, 60, detect=True, stop_on_abort=False)
     assert detected.events
 
     def curve(log):

@@ -5,7 +5,9 @@ byte-identical output.
     python tools/pipeline_digest.py [--tree DIR]
 
 ``--tree`` is the root of a desklm checkout (default: this one); its
-``src/`` is put on PYTHONPATH for every command.  The script builds a
+``src/`` is put on PYTHONPATH for every command, and every command runs with
+``OPENBLAS_NUM_THREADS=1`` and ``OMP_NUM_THREADS=1``, so the listing does not
+depend on the machine's BLAS thread count.  The script builds a
 ``synth`` corpus of ``NBYTES`` bytes from ``SEED`` in a temporary directory
 and runs tok-train, ``tok-stats --weights``, ``corpus-dedup --log``,
 corpus-plan, corpus-pack, ``train --save-initial --checkpoint-every
@@ -21,6 +23,12 @@ if any command exits non-zero.  Compare two trees with
 
     diff <(python tools/pipeline_digest.py --tree A) \\
          <(python tools/pipeline_digest.py --tree B)
+
+``tests/data/pipeline_digest.json`` holds the listing of the current outputs;
+``tests/test_pipeline_digest.py`` runs this tool and names each entry that
+differs from it.  A change that alters an output on purpose regenerates it with
+
+    python tools/pipeline_digest.py > tests/data/pipeline_digest.json
 """
 from __future__ import annotations
 
@@ -39,6 +47,9 @@ VOCAB = 300
 CONTEXT = 16
 SEED = 5
 NBYTES = 40_000
+# A float64 sum blocked over 2 BLAS threads rounds differently from one over 1,
+# so every command runs single-threaded and the listing is one per tree.
+ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
 # Writes every input file with the tree's own library, planting two exact
 # copies and one near copy for dedup to find; argv: dir seed bytes.
@@ -120,7 +131,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--tree", default=Path(__file__).resolve().parent.parent, type=Path)
     args = p.parse_args(argv)
-    env = {**os.environ, "PYTHONPATH": str(args.tree.resolve() / "src")}
+    env = {**os.environ, "PYTHONPATH": str(args.tree.resolve() / "src"), **ONE_THREAD}
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         subprocess.run([sys.executable, "-c", SETUP, str(work), str(SEED), str(NBYTES)],
