@@ -363,6 +363,7 @@ def _read_weight_profiles(path, domains) -> dict:
 
 
 def cmd_eval_bpb(args):
+    trainer_mod.check_run(rows_per_batch=args.rows_per_batch)
     model = Model.load(args.checkpoint)
     tok = tok_mod.TokenizerModel.load(args.tokenizer)
     groups = _docs_by_domain(corpus_mod.read_jsonl(args.eval))

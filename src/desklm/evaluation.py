@@ -21,6 +21,7 @@ from . import io as dio
 from .errors import ConfigError
 from .model import Model, predicted_positions
 from .tensor import Tensor
+from .trainer import check_run
 
 LN2 = math.log(2.0)
 
@@ -64,8 +65,7 @@ def domain_loss(model, tokenizer, eval_set: DomainEvalSet,
     (same arrays, no copy), so it builds no tape and leaves ``model``'s
     gradients and ``last_stats`` as they were.
     """
-    if rows_per_batch <= 0:
-        raise ConfigError(f"rows_per_batch must be positive, got {rows_per_batch}")
+    check_run(rows_per_batch=rows_per_batch)
     view = Model(model.config, model.multipliers,
                  {k: Tensor(p.data) for k, p in model.params.items()})
     tokens, segments = corpus_mod.pack(eval_set.token_docs, model.config.context_length,

@@ -371,40 +371,79 @@ def softmax_last(a: Tensor) -> Tensor:
     return _make(p, (a,), "softmax", fn)
 
 
+# Query rows per attention tile, a multiple of 8 so tile edges meet the block
+# edges of ``_rowsum``.  A one-row last tile (numpy's gemv) joins the previous.
+ATTN_TILE = 32
+
+
+def _rowsum(x: np.ndarray, n: int) -> np.ndarray:
+    """Sum over x's last axis (kept), grouped as numpy's pairwise sum groups a
+    row of ``n`` whose entries past ``x.shape[-1]`` are zeros: one block up to
+    128, else split at n // 2 rounded down to a multiple of 8."""
+    if n <= 128:
+        return np.sum(x, axis=-1, keepdims=True)
+    half = n // 2 - n // 2 % 8
+    if x.shape[-1] <= half:
+        return _rowsum(x, half)
+    return _rowsum(x[..., :half], half) + _rowsum(x[..., half:], n - half)
+
+
+def _key_tiles(row_tiles, tiles):
+    """(c0, columns [c0, c1) over queries [c0:]) of each key tile."""
+    for i, (c0, c1) in enumerate(tiles):
+        yield c0, np.concatenate([x[..., c0:c1] for x in row_tiles[i:]], axis=-2)
+
+
 def causal_attention(q: Tensor, k: Tensor, v: Tensor, bias, scale: float) -> Tensor:
     """softmax(q @ k^T * scale + bias) @ v over [B, H, T, hd] operands, as one
-    tape node.
+    tape node.  ``bias`` broadcasts to [B, H, T, T] and must hide (-inf) every
+    key after its query, as ``model.attention_bias`` does.
 
-    ``bias`` is a constant broadcastable to [B, H, T, T]; its -inf entries get
-    exactly zero weight and are never exponentiated.  The scale is folded
-    into q, which is exact (so the result is bit-identical to the chain of
-    primitive ops) when it is a power of two.  The probabilities P are kept
-    for the backward pass: dS = P * (dP - rowsum(dP * P)) with dP = g @ v^T.
+    Query tile [r0, r1) of ATTN_TILE rows sees keys [:r1] only; in backward,
+    key tile [c0, c1) sees queries [c0:] only.  The skipped entries are exact
+    zeros of P, so the result is bit-identical to the primitive chain when the
+    scale folded into q is a power of two and BLAS rounds a tile's products as
+    the full ones (on OpenBLAS 0.3.31: every T up to 200, and 256).  Backward
+    keeps P: dS = P * (dP - rowsum(dP * P)) with dP = g @ v^T.
     """
     if q.data.ndim != 4 or k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:
         raise ShapeError(f"causal_attention expects [B, H, T, hd] operands, "
                          f"got q {q.shape}, k {k.shape}, v {v.shape}")
-    bias = np.asarray(bias, dtype=np.float64)
-    scale = float(scale)
+    t = q.shape[-2]
+    bias = np.broadcast_to(bias, np.broadcast_shapes(np.shape(bias), (t, t)))
+    if ((bias != -np.inf) & ~np.tri(t, dtype=bool)).any():
+        raise ValueError("causal_attention: the bias must hide (-inf) every key after its query")
     qs = q.data * scale
-    s = np.matmul(qs, np.swapaxes(k.data, -1, -2))
-    s += bias
-    s -= np.max(s, axis=-1, keepdims=True)
-    p = np.zeros_like(s)
-    np.exp(s, out=p, where=bias != -np.inf)
-    p /= np.sum(p, axis=-1, keepdims=True)
-    data = np.matmul(p, v.data)
+    edges = [*range(0, t - 1 or 1, ATTN_TILE), t]
+    tiles = list(zip(edges, edges[1:]))
+    ps = []
+    for r0, r1 in tiles:
+        s = np.matmul(qs[..., r0:r1, :], np.swapaxes(k.data[..., :r1, :], -1, -2))
+        s += bias[..., r0:r1, :r1]
+        s -= np.max(s, axis=-1, keepdims=True)
+        p = np.exp(s, out=s)
+        p /= _rowsum(p, t)
+        ps.append(p)
+    data = np.concatenate([np.matmul(p, v.data[..., :r1, :])
+                           for p, (_, r1) in zip(ps, tiles)], axis=-2)
 
     def fn(g):
         if v.requires_grad:
-            v._accumulate(np.matmul(np.swapaxes(p, -1, -2), g))
-        ds = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        ds -= np.sum(ds * p, axis=-1, keepdims=True)
-        ds *= p
+            v._accumulate(np.concatenate([np.matmul(np.swapaxes(pc, -1, -2), g[..., c0:, :])
+                                          for c0, pc in _key_tiles(ps, tiles)], axis=-2))
+        ds = []
+        for p, (r0, r1) in zip(ps, tiles):
+            d = np.matmul(g[..., r0:r1, :], np.swapaxes(v.data[..., :r1, :], -1, -2))
+            d -= _rowsum(d * p, t)
+            d *= p
+            ds.append(d)
         if q.requires_grad:
-            q._accumulate(np.matmul(ds, k.data) * scale)
+            q._accumulate(np.concatenate([np.matmul(d, k.data[..., :r1, :])
+                                          for d, (_, r1) in zip(ds, tiles)], axis=-2) * scale)
         if k.requires_grad:
-            k._accumulate(np.swapaxes(np.matmul(np.swapaxes(qs, -1, -2), ds), -1, -2))
+            k._accumulate(np.concatenate([
+                np.swapaxes(np.matmul(np.swapaxes(qs[..., c0:, :], -1, -2), dc), -1, -2)
+                for c0, dc in _key_tiles(ds, tiles)], axis=-2))
 
     return _make(data, (q, k, v), "causal_attention", fn)
 

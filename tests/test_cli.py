@@ -581,6 +581,20 @@ def test_eval_bpb_flat_weights_profile(ws, trained_run, tmp_path, capsys):
         payload["aggregates"]["direct_average"])
 
 
+def test_eval_bpb_rejects_zero_rows_before_tokenizing(ws, trained_run, monkeypatch, capsys):
+    encoded = []
+    encode = TokenizerModel.encode
+    monkeypatch.setattr(TokenizerModel, "encode",
+                        lambda self, text: encoded.append(text) or encode(self, text))
+    argv = ["eval-bpb", "--checkpoint", str(trained_run / "checkpoints" / "final.ckpt"),
+            "--tokenizer", str(ws / "tok.json"), "--eval", str(ws / "eval.jsonl")]
+    assert run(argv + ["--rows-per-batch", "0"]) == 2
+    assert "rows_per_batch must be >= 1, got 0" in capsys.readouterr().err
+    assert encoded == []
+    assert run(argv + ["--rows-per-batch", "1"]) == 0
+    assert encoded
+
+
 def test_eval_bpb_mismatched_weights(ws, trained_run, tmp_path):
     wpath = tmp_path / "w.json"
     wpath.write_text(json.dumps({"nonexistent": 1.0}))

@@ -205,8 +205,8 @@ def test_domain_loss_requires_predictable_positions(eval_env):
     with pytest.raises(ConfigError):
         domain_loss(model, tok, es)
     es = load_eval_set("two-docs", ["first document", "second one"], tok)
-    for rows in (0, -1):
-        with pytest.raises(ConfigError, match="rows_per_batch"):
+    for rows in (0, -1):     # the one rows rule, trainer.check_run's
+        with pytest.raises(ConfigError, match=f"rows_per_batch must be >= 1, got {rows}"):
             domain_loss(model, tok, es, rows_per_batch=rows)
 
 

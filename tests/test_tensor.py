@@ -1,12 +1,15 @@
 """Autodiff core: every op finite-difference checked, plus numeric anchors."""
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from desklm import tensor as T
 from desklm.errors import ShapeError
-from desklm.model import attention_bias
+from desklm.model import Model, attention_bias
+from desklm.presets import toy_config, toy_hyperparams
 from oracles import (cross_entropy_mpmath, finite_diff_grad, rel_error,
                      truncated_normal_sd)
 
@@ -175,17 +178,12 @@ def _attention_chain(q, k, v, bias, s):
     return T.bmm(T.softmax_last(scores), v)
 
 
-@pytest.mark.parametrize("s,rtol", [(1 / 16, 0.0), (1 / 4, 0.0),
-                                    (1 / math.sqrt(8), 1e-12), (1 / 12, 1e-12)],
-                         ids=["inv16", "inv4", "inv_sqrt8", "inv12"])
-def test_causal_attention_matches_primitive_chain(s, rtol):
-    """Bit-identical where folding the scale into q is exact (a power of
-    two, as for every head_dim-16 config), within 1e-12 otherwise."""
-    bias = attention_bias(_SEGMENTS)
+def _assert_matches_primitive_chain(segments, s, rtol, heads=3):
+    bias = attention_bias(segments)
     results = []
     for op in (T.causal_attention, _attention_chain):
         rng = np.random.default_rng(3)
-        q, k, v = (_rand(rng, 2, 3, 7, 16, scale=2.0) for _ in range(3))
+        q, k, v = (_rand(rng, 2, heads, segments.shape[1], 16, scale=2.0) for _ in range(3))
         out = op(q, k, v, bias, s)
         weighted(out, np.random.default_rng(4)).backward()
         results.append([out.data, q.grad, k.grad, v.grad])
@@ -196,12 +194,83 @@ def test_causal_attention_matches_primitive_chain(s, rtol):
             assert rel_error(got, want) < rtol
 
 
+@pytest.mark.parametrize("s,rtol", [(1 / 16, 0.0), (1 / 4, 0.0),
+                                    (1 / math.sqrt(8), 1e-12), (1 / 12, 1e-12)],
+                         ids=["inv16", "inv4", "inv_sqrt8", "inv12"])
+def test_causal_attention_matches_primitive_chain(s, rtol):
+    """Bit-identical where folding the scale into q is exact (a power of
+    two, as for every head_dim-16 config), within 1e-12 otherwise."""
+    _assert_matches_primitive_chain(_SEGMENTS, s, rtol)
+
+
+@pytest.mark.parametrize("t", [T.ATTN_TILE + 1, 40, 130, 256])
+@pytest.mark.parametrize("s,rtol", [(1 / 16, 0.0), (1 / math.sqrt(8), 1e-12)],
+                         ids=["inv16", "inv_sqrt8"])
+def test_causal_attention_tiles_match_primitive_chain(t, s, rtol):
+    """Across query tiles: a one-row tail (joined to the tile before), a
+    partial second tile (40), rows past numpy's 128-long pairwise block
+    (130) and the bench length (256).  Row 0 holds two segments, row 1 a
+    pad tail; the skipped keys are exact zeros of P, so the bits stay."""
+    segments = np.ones((2, t), dtype=int)
+    segments[0, t // 3:] = 2
+    segments[1, t - t // 5:] = 0
+    _assert_matches_primitive_chain(segments, s, rtol, heads=2)
+
+
+def test_causal_attention_grad_across_two_tiles(rng):
+    t = T.ATTN_TILE + 9
+    segments = np.ones((2, t), dtype=int)
+    segments[0, 20:] = 2                # a segment that starts in tile 0, ends in tile 1
+    segments[1, t - 4:] = 0
+    q, k, v = (_rand(rng, 2, 2, t, 4) for _ in range(3))
+    check_grads(lambda: weighted(T.causal_attention(q, k, v, attention_bias(segments), 0.5),
+                                 np.random.default_rng(1)), q, k, v)
+
+
 def test_causal_attention_rejects_bad_shapes(rng):
     q, k = _rand(rng, 2, 3, 7, 4), _rand(rng, 2, 3, 7, 4)
     with pytest.raises(ShapeError):
         T.causal_attention(q, _rand(rng, 2, 3, 6, 4), k, np.zeros((1, 1, 7, 7)), 1.0)
-    with pytest.raises(ValueError):     # numpy's broadcasting check
-        T.causal_attention(q, k, k, np.zeros((2, 2, 7, 7)), 1.0)
+    two_heads = np.repeat(attention_bias(np.ones((2, 7), dtype=int)), 2, axis=1)
+    with pytest.raises(ValueError, match="broadcast"):     # numpy's broadcasting check
+        T.causal_attention(q, k, k, two_heads, 1.0)
+
+
+def test_causal_attention_refuses_a_bias_that_is_not_causal(rng):
+    """Skipping the keys after each query tile is exact only if the bias
+    hides them; a zero bias of any shape, or one key let through inside the
+    last tile, is refused rather than computed."""
+    t = T.ATTN_TILE + 9
+    q, k, v = (_rand(rng, 2, 2, t, 4) for _ in range(3))
+    T.causal_attention(q, k, v, attention_bias(np.ones((2, t), dtype=int)), 0.5)
+    leaky = attention_bias(np.ones((2, t), dtype=int))
+    leaky[1, 0, t - 3, t - 1] = 0.0
+    for bias in (np.zeros((t, t)), np.zeros((1, 1, 1, 1)), leaky):
+        with pytest.raises(ValueError, match="must hide .* every key after its query"):
+            T.causal_attention(q, k, v, bias, 0.5)
+
+
+def test_backward_frees_the_tape_without_the_cycle_collector():
+    """A reference cycle through an op's closure keeps the arrays it saved
+    (attention's P tiles among them) alive until the cycle collector runs.
+    With the collector off, five train steps must not grow memory."""
+    config = toy_config(64, layer_num=2, vocab_size=64, context_length=64)
+    model = Model.build(config, toy_hyperparams(), T.RngState(0))
+    tokens = np.random.default_rng(0).integers(0, 64, size=(8, 64))
+    segments = np.ones_like(tokens)
+    segments[:, 40:] = 2
+    levels = []
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        for _ in range(5):
+            model.loss(tokens, segments).backward()
+            levels.append(tracemalloc.get_traced_memory()[0])
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert max(levels[1:]) - levels[0] < 1_000_000, levels
 
 
 def test_rope_anchor_single_pair():
