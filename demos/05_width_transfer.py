@@ -38,7 +38,7 @@ packed = pack([tok.encode(d.text) for d in docs], 128, tok.specials["<pad>"])
 widths = [64, 256]
 
 result = coordinate_check(toy_config(), toy_hyperparams(), widths, steps=20,
-                          packed=packed, seed=4)
+                          packed=packed, seed=4, rows_per_batch=4)
 print("with the transfer applied, peak pre-logit RMS per width:")
 for w in widths:
     print(f"  width {w:3d}: {result.max_rms[w]:9.2f}")
@@ -46,7 +46,7 @@ ratio = max(result.max_rms.values()) / min(result.max_rms.values())
 print(f"  spread {ratio:.2f}x (stable: < 3x)")
 
 broken = coordinate_check(toy_config(), toy_hyperparams(), widths, steps=20,
-                          packed=packed, seed=4, break_transfer=True)
+                          packed=packed, seed=4, rows_per_batch=4, break_transfer=True)
 print("with matrix learning-rate scaling deliberately skipped:")
 for w in widths:
     print(f"  width {w:3d}: {broken.max_rms[w]:9.2f}")

@@ -34,7 +34,7 @@ docs = build_corpus(seed=30, target_bytes=120_000)
 tok = train_bbpe([d.text for d in docs], 512, specials=("<pad>",))
 packed = pack([tok.encode(d.text) for d in docs], 128, tok.specials["<pad>"])
 
-entries = run_grid(toy_config(), grid, packed, steps=60, seed=2)
+entries = run_grid(toy_config(), grid, packed, steps=60, seed=2, rows_per_batch=4)
 print(f"{'rank':>4s} {'score':>8s} {'loss':>8s} {'nonmono':>8s} "
       f"{'gradpen':>8s}  config")
 for rank, e in enumerate(entries):

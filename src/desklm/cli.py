@@ -323,7 +323,7 @@ def cmd_coord_check(args):
         raise ConfigError(f"--rms-ratio-limit must be >= 1, the base width's own ratio; "
                           f"got {args.rms_ratio_limit:g}")
     result = coordinate_check(config, hp, widths, args.steps, packed, args.seed,
-                              rows_per_batch=args.rows_per_batch,
+                              _derive_rows_per_batch(args, hp, config),
                               break_transfer=args.break_transfer)
     base = widths[0]
     base_rms = result.max_rms[base]
@@ -363,16 +363,13 @@ def _read_weight_profiles(path, domains) -> dict:
 
 
 def cmd_eval_bpb(args):
-    trainer_mod.check_run(rows_per_batch=args.rows_per_batch)
     model = Model.load(args.checkpoint)
     tok = tok_mod.TokenizerModel.load(args.tokenizer)
     groups = _docs_by_domain(corpus_mod.read_jsonl(args.eval))
     profiles = _read_weight_profiles(args.weights, groups) if args.weights else None
     eval_sets = [eval_mod.load_eval_set(name, groups[name], tok)
                  for name in sorted(groups)]
-    report = eval_mod.build_report(model, tok, eval_sets,
-                                   weight_profiles=profiles,
-                                   rows_per_batch=args.rows_per_batch)
+    report = eval_mod.build_report(model, tok, eval_sets, weight_profiles=profiles)
     if args.out:
         report.save_json(args.out)
     if args.csv:
@@ -482,7 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--steps", type=int, default=5)
     sp.add_argument("--data", required=True)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--rows-per-batch", type=int, default=4)
+    sp.add_argument("--rows-per-batch", type=int, default=None,
+                    help="default: batch_size_tokens / context_length")
     sp.add_argument("--rms-ratio-limit", type=float, default=3.0,
                     help="max allowed activation growth across widths")
     sp.add_argument("--break-transfer", action="store_true",
@@ -495,7 +493,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--eval", required=True, help="held-out JSONL with domains")
     sp.add_argument("--weights",
                     help="JSON {profile: {domain: w}} or flat {domain: w}")
-    sp.add_argument("--rows-per-batch", type=int, default=8)
     sp.add_argument("--out", help="report JSON")
     sp.add_argument("--csv", help="per-domain CSV")
     sp.add_argument("--json", action="store_true")

@@ -21,9 +21,11 @@ from . import io as dio
 from .errors import ConfigError
 from .model import Model, predicted_positions
 from .tensor import Tensor
-from .trainer import check_run
 
 LN2 = math.log(2.0)
+# Rows per forward of `domain_loss`, read at call time.  The count sets memory and,
+# by summation order, a loss's last bits, so it is one constant, not a knob.
+EVAL_ROWS = 8
 
 
 @dataclass
@@ -52,29 +54,27 @@ def load_eval_set(name: str, docs, tokenizer) -> DomainEvalSet:
                          byte_count=byte_count, token_count=token_count)
 
 
-def domain_loss(model, tokenizer, eval_set: DomainEvalSet,
-                rows_per_batch: int = 8) -> float:
+def domain_loss(model, tokenizer, eval_set: DomainEvalSet) -> float:
     """Mean next-token loss (nats) over an eval set.
 
     Documents are packed without cross-document attention, exactly like
     training rows, padded with ``tokenizer.pad_id``; the mean is over all
     predicted positions (document boundaries inside a row included), so
-    batching cannot change it.
+    batching changes it only by rounding; each forward scores ``EVAL_ROWS`` rows.
 
     The forward runs over views of the parameters that need no gradient
     (same arrays, no copy), so it builds no tape and leaves ``model``'s
     gradients and ``last_stats`` as they were.
     """
-    check_run(rows_per_batch=rows_per_batch)
     view = Model(model.config, model.multipliers,
                  {k: Tensor(p.data) for k, p in model.params.items()})
     tokens, segments = corpus_mod.pack(eval_set.token_docs, model.config.context_length,
                                        tokenizer.pad_id)
     total_nats = 0.0
     total_positions = 0
-    for start in range(0, tokens.shape[0], rows_per_batch):
-        tb = tokens[start:start + rows_per_batch]
-        sb = segments[start:start + rows_per_batch]
+    for start in range(0, tokens.shape[0], EVAL_ROWS):
+        tb = tokens[start:start + EVAL_ROWS]
+        sb = segments[start:start + EVAL_ROWS]
         n = predicted_positions(sb).sum()
         if n == 0:
             continue
@@ -141,8 +141,7 @@ class BpbReport:
             for r in self.rows))
 
 
-def build_report(model, tokenizer, eval_sets, weight_profiles: dict | None = None,
-                 rows_per_batch: int = 8) -> BpbReport:
+def build_report(model, tokenizer, eval_sets, weight_profiles: dict | None = None) -> BpbReport:
     """Per-domain BPB rows plus aggregates.
 
     weight_profiles maps a profile name to {domain: weight}; every profile
@@ -155,7 +154,7 @@ def build_report(model, tokenizer, eval_sets, weight_profiles: dict | None = Non
         check_weights(prof, domains, f"profile {name!r}")
     rows = []
     for es in eval_sets:
-        loss = domain_loss(model, tokenizer, es, rows_per_batch=rows_per_batch)
+        loss = domain_loss(model, tokenizer, es)
         rows.append({
             "domain": es.name,
             "loss_nats": loss,

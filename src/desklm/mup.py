@@ -108,8 +108,6 @@ class HyperParams:
             raise ConfigError("schedule_tokens and batch_tokens must be positive")
         if not self.warmup_steps >= 0:
             raise ConfigError("warmup_steps must be >= 0")
-        if not self.warmup_steps * self.batch_tokens < self.schedule_tokens:
-            raise ConfigError("warmup must end before the schedule does")
         if not self.clip_grad > 0:
             raise ConfigError("clip_grad must be positive")
         if not self.weight_decay >= 0:
@@ -177,7 +175,7 @@ class CoordCheckResult:
 
 
 def coordinate_check(base_config, hp: HyperParams, widths, steps: int,
-                     packed, seed: int, rows_per_batch: int = 4,
+                     packed, seed: int, rows_per_batch: int,
                      break_transfer: bool = False) -> CoordCheckResult:
     """Train each width briefly and record activation RMS statistics.
 

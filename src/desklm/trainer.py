@@ -221,7 +221,8 @@ def detect_spike(window, recovery_window: int = RECOVERY_WINDOW):
     gnorms = [w[1] for w in window]
     n = len(losses)
     band = _median_band(losses)
-    gband = _median_band(gnorms)
+    # a skipped step's grad norm is NaN, which would blind the band
+    gband = _median_band([g for g in gnorms if math.isfinite(g)] or [math.nan])
 
     above = [l > band or not math.isfinite(l) for l in losses]
     run = 0
@@ -282,8 +283,12 @@ def train_step(model: Model, batch, optimizer: AdamState, schedule: Schedule,
                step_index: int):
     """One forward/backward/update.  Returns (StepLog, ok) where ok is
     False if the step was skipped (non-finite loss or gradients); a
-    skipped step's grad_norm is NaN."""
+    skipped step's grad_norm is NaN.  A batch that does not hold the
+    schedule's ``batch_tokens`` tokens is a ConfigError."""
     tokens, segments = batch
+    if tokens.size != schedule.batch_tokens:
+        raise ConfigError(f"a batch of {tokens.size} tokens, but the schedule steps by "
+                          f"{schedule.batch_tokens}")
     t0 = time.perf_counter()
     tokens_after = (step_index + 1) * schedule.batch_tokens
     lrs = {ParamClass.VECTOR: lr_at(schedule, ParamClass.VECTOR, tokens_after),
@@ -311,12 +316,12 @@ def train(model: Model, schedule: Schedule, batches, steps: int,
           detect: bool = True, recovery_window: int = RECOVERY_WINDOW,
           stop_on_abort: bool = True,
           checkpoint_every: int | None = None, checkpoint_dir=None) -> TrainResult:
-    """Run up to ``steps`` training steps with monitoring.
+    """Run ``steps`` training steps with monitoring.
 
     Divergence (non-finite loss) ends the run with status "diverged".
     A sustained spike records an event and, with ``stop_on_abort``, ends
     the run with status "abort_recommended".  Transient spikes are logged
-    and training continues.
+    and training continues.  Batches that run out first raise ConfigError.
     """
     schedule.validate()
     check_run(steps, recovery_window, checkpoint_every, checkpoint_dir)
@@ -325,19 +330,18 @@ def train(model: Model, schedule: Schedule, batches, steps: int,
     status = "completed"
     skipped = 0
     last_sustained_start = -1
-    for i, batch in enumerate(batches):
-        if i >= steps:
-            break
+    for i, batch in zip(range(steps), batches):
         row, ok = train_step(model, batch, optimizer, schedule, i)
         log.append(row)
-        if not ok:
-            if not math.isfinite(row.loss):
-                status = "diverged"
-                break
-            skipped += 1
-            continue
+        if not math.isfinite(row.loss):
+            status = "diverged"
+            break
+        # a skipped step leaves the weights as they were, still valid to save
         if checkpoint_every is not None and (i + 1) % checkpoint_every == 0:
             model.save(Path(checkpoint_dir) / f"step{i + 1:06d}.ckpt", step=i + 1)
+        if not ok:
+            skipped += 1
+            continue
         if detect and len(log) >= recovery_window:
             window = [(r.loss, r.grad_norm) for r in log[-DETECTOR_WINDOW:]]
             event = detect_spike(window, recovery_window)
@@ -353,6 +357,8 @@ def train(model: Model, schedule: Schedule, batches, steps: int,
                             break
                 else:
                     events.append(event)
+    if status == "completed" and len(log) < steps:
+        raise ConfigError(f"the batches ran out after {len(log)} of {steps} steps")
     return TrainResult(log=log, events=events, status=status, skipped_steps=skipped)
 
 
@@ -468,7 +474,7 @@ def check_grid(steps: int):
 
 
 def run_grid(base_config, hp_list, packed, steps: int, seed: int,
-             rows_per_batch: int = 4, out_dir=None) -> list:
+             rows_per_batch: int, out_dir=None) -> list:
     """Train every candidate on an identical data order and rank them.
 
     Returns GridEntry rows sorted best-first.  The ranking is invariant to

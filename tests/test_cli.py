@@ -1,7 +1,9 @@
 """End-to-end CLI: every subcommand, exit codes, run-directory layout."""
+import csv
 import json
 import math
 import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from desklm import trainer as trainer_mod
 from desklm.corpus import (Document, load_packed, pack, save_packed,
                            write_jsonl)
 from desklm.model import Model, ModelConfig
-from desklm.mup import hyperparams_to_dict
+from desklm.mup import HyperParams, hyperparams_to_dict
 from desklm.presets import (reference_manifest, toy_config, toy_hyperparams)
 from desklm.synth import STYLES, build_corpus
 from desklm.tensor import RngState
@@ -304,6 +306,23 @@ def test_train_rejected_inputs_leave_no_run_directory(ws, tmp_path):
         assert not out.exists()
 
 
+def test_warmup_is_checked_at_the_step_size_the_run_uses(ws, tmp_path, capsys):
+    # 100 warmup steps of the published 1,024 tokens outlast a 100,000-token
+    # schedule, but 100 steps of one 16-token row end after 1,600 tokens
+    hp = replace(toy_hyperparams(), batch_tokens=1024, warmup_steps=100,
+                 schedule_tokens=100_000)
+    path = tmp_path / "hpw.json"
+    path.write_text(json.dumps(hyperparams_to_dict(hp)))
+    assert dio.decode_record(HyperParams, dio.read_json(path), path) == hp
+    argv = ["train", "--config", str(ws / "config.json"), "--hyperparams", str(path),
+            "--data", str(ws / "packed.dlm"), "--steps", "2"]
+    assert run(argv + ["--rows-per-batch", "1", "--out", str(tmp_path / "one")]) == 0
+    capsys.readouterr()
+    assert run(argv + ["--out", str(tmp_path / "derived")]) == 2      # 64 rows a step
+    assert "warmup must end" in capsys.readouterr().err
+    assert not (tmp_path / "derived").exists()
+
+
 MISFIRING_SETTINGS = [
     *(("train", "--recovery-window", v, "recovery_window") for v in ("0", "1", "-3", "101")),
     *(("train", "--checkpoint-every", v, "checkpoint_every") for v in ("0", "-10")),
@@ -518,6 +537,24 @@ def test_coord_check_strict_limit_fails(ws, tmp_path, capsys):
     assert "NOT stable" in capsys.readouterr().out
 
 
+def test_coord_check_and_train_log_the_same_run(ws, tmp_path):
+    # without --rows-per-batch both derive batch_size_tokens / context_length rows
+    hp_path = tmp_path / "hp128.json"
+    hp_path.write_text(json.dumps(hyperparams_to_dict(
+        toy_hyperparams(steps=4, batch_tokens=128, warmup_steps=1))))
+    common = ["--config", str(ws / "config.json"), "--hyperparams", str(hp_path),
+              "--data", str(ws / "packed.dlm"), "--steps", "4", "--seed", "3"]
+    assert run(["coord-check", "--widths", "32", "--out", str(tmp_path / "coord.csv")]
+               + common) == 0
+    assert run(["train", "--out", str(tmp_path / "t")] + common) == 0
+    with open(tmp_path / "coord.csv", newline="") as f:
+        coord = [float(r["value"]) for r in csv.DictReader(f)
+                 if r["width"] == "32" and r["metric"] == "loss"]
+    log = trainer_mod.read_runlog(tmp_path / "t" / "logs" / "run_log.csv")
+    assert [r.tokens for r in log] == [8 * 16 * (i + 1) for i in range(4)]
+    assert coord == [r.loss for r in log]
+
+
 @pytest.mark.parametrize("context", [8, 32])
 def test_coord_check_context_mismatch_writes_nothing(ws, tmp_path, capsys, context):
     cfg = coord_config(ws, tmp_path)
@@ -581,18 +618,14 @@ def test_eval_bpb_flat_weights_profile(ws, trained_run, tmp_path, capsys):
         payload["aggregates"]["direct_average"])
 
 
-def test_eval_bpb_rejects_zero_rows_before_tokenizing(ws, trained_run, monkeypatch, capsys):
-    encoded = []
-    encode = TokenizerModel.encode
-    monkeypatch.setattr(TokenizerModel, "encode",
-                        lambda self, text: encoded.append(text) or encode(self, text))
-    argv = ["eval-bpb", "--checkpoint", str(trained_run / "checkpoints" / "final.ckpt"),
-            "--tokenizer", str(ws / "tok.json"), "--eval", str(ws / "eval.jsonl")]
-    assert run(argv + ["--rows-per-batch", "0"]) == 2
-    assert "rows_per_batch must be >= 1, got 0" in capsys.readouterr().err
-    assert encoded == []
-    assert run(argv + ["--rows-per-batch", "1"]) == 0
-    assert encoded
+def test_eval_bpb_has_no_rows_flag(ws, trained_run, capsys):
+    # eval scores evaluation.EVAL_ROWS rows per forward; the row count is no knob
+    with pytest.raises(SystemExit) as exit_:
+        run(["eval-bpb", "--checkpoint", str(trained_run / "checkpoints" / "final.ckpt"),
+             "--tokenizer", str(ws / "tok.json"), "--eval", str(ws / "eval.jsonl"),
+             "--rows-per-batch", "8"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --rows-per-batch 8" in capsys.readouterr().err
 
 
 def test_eval_bpb_mismatched_weights(ws, trained_run, tmp_path):

@@ -143,13 +143,15 @@ def eval_env():
     return model, tok
 
 
-def test_domain_loss_batch_size_invariant(eval_env):
+def test_domain_loss_batch_size_invariant(eval_env, monkeypatch):
     model, tok = eval_env
     docs = [d.text for d in build_corpus(seed=23, target_bytes=1_500)]
     es = load_eval_set("mix", docs, tok)
-    a = domain_loss(model, tok, es, rows_per_batch=1)
-    b = domain_loss(model, tok, es, rows_per_batch=7)
-    c = domain_loss(model, tok, es, rows_per_batch=64)
+    losses = []
+    for rows in (1, 7, 64):
+        monkeypatch.setattr(evaluation, "EVAL_ROWS", rows)
+        losses.append(domain_loss(model, tok, es))
+    a, b, c = losses
     assert a == pytest.approx(b, rel=1e-12)
     assert a == pytest.approx(c, rel=1e-12)
 
@@ -165,7 +167,8 @@ def test_domain_loss_single_doc_equals_model_loss(eval_env):
         direct, rel=1e-15)
 
 
-def test_domain_loss_builds_no_tape_and_matches_the_taped_loss_bit_for_bit(eval_env):
+def test_domain_loss_builds_no_tape_and_matches_the_taped_loss_bit_for_bit(eval_env,
+                                                                          monkeypatch):
     model, tok = eval_env
     docs = [d.text for d in build_corpus(seed=29, target_bytes=2_000)]
     es = load_eval_set("mix", docs, tok)
@@ -180,7 +183,8 @@ def test_domain_loss_builds_no_tape_and_matches_the_taped_loss_bit_for_bit(eval_
             positions += n
     model.zero_grads()
     stats = model.last_stats
-    got = domain_loss(model, tok, es, rows_per_batch=3)
+    monkeypatch.setattr(evaluation, "EVAL_ROWS", 3)
+    got = domain_loss(model, tok, es)
     assert got == nats / positions
     assert all(p.grad is None for p in model.params.values())
     assert model.last_stats is stats
@@ -202,12 +206,8 @@ def test_zero_output_mult_gives_uniform_loss(eval_env):
 def test_domain_loss_requires_predictable_positions(eval_env):
     model, tok = eval_env
     es = load_eval_set("one-token", ["a"], tok)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="no predictable positions"):
         domain_loss(model, tok, es)
-    es = load_eval_set("two-docs", ["first document", "second one"], tok)
-    for rows in (0, -1):     # the one rows rule, trainer.check_run's
-        with pytest.raises(ConfigError, match=f"rows_per_batch must be >= 1, got {rows}"):
-            domain_loss(model, tok, es, rows_per_batch=rows)
 
 
 def test_load_eval_set_counts(eval_env):

@@ -10,7 +10,6 @@ from desklm.model import Model, ModelConfig, Multipliers, attention_bias, count_
 from desklm.mup import HyperParams
 from desklm.presets import config_52b, config_mup_512, toy_config, toy_hyperparams
 from desklm.tensor import RngState
-from oracles import finite_diff_grad, rel_error
 
 
 def small_config(**kw):
@@ -273,27 +272,6 @@ def test_loss_over_frozen_parameters_builds_no_tape():
     loss = frozen.loss(toks)
     assert loss._parents == () and not loss.requires_grad
     assert loss.item() == model.loss(toks).item()
-
-
-# -- full-model finite-difference check (acceptance criterion 6 core) ---------
-
-def test_full_model_gradient_check():
-    model = build_small(seed=3)
-    assert count_params(model.config) <= 10_000
-    rng = RngState(5)
-    toks = rng.integers(0, 32, size=(2, 16)).astype(np.int32)
-    seg = np.ones_like(toks)
-    seg[1, 12:] = 0                       # include pad masking in the check
-    model.zero_grads()
-    model.loss(toks, seg).backward()
-
-    def loss_value():
-        return model.loss(toks, seg).item()
-
-    for name, p in model.params.items():
-        num = finite_diff_grad(loss_value, p, h=1e-5)
-        err = rel_error(p.grad, num)
-        assert err < 1e-5, f"{name}: rel err {err:.2e}"
 
 
 # -- stats hooks ---------------------------------------------------------------

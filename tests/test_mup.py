@@ -114,11 +114,6 @@ def test_min_lr_above_peak_rejected():
         replace(toy_hyperparams(), min_lr=1.0).validate()
 
 
-def test_warmup_longer_than_schedule_rejected():
-    with pytest.raises(ConfigError):
-        replace(toy_hyperparams(), warmup_steps=10**9).validate()
-
-
 @pytest.mark.parametrize("name", ["vector_lr", "matrix_lr", "min_lr", "vector_std",
                                   "matrix_std", "clip_grad", "weight_decay", "rope_theta"])
 def test_nan_hyperparameter_rejected(name):

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from desklm import trainer as trainer_mod
 from desklm.corpus import pack
 from desklm.errors import ConfigError, NonFiniteGradientError
 from desklm.model import Model
@@ -226,6 +227,12 @@ def test_step_log_token_accounting():
     assert [r.step for r in result.log] == list(range(1, 9))
 
 
+def test_train_refuses_batches_that_run_out():
+    model, schedule, packed, _ = tiny_setup(steps=20)
+    with pytest.raises(ConfigError, match="batches ran out after 5 of 20 steps"):
+        train(model, schedule, batch_iterator(packed, 2, 5, seed=0), 20)
+
+
 def test_checkpoint_every(tmp_path):
     model, schedule, packed, _ = tiny_setup(steps=10)
     train(model, schedule, batch_iterator(packed, 2, 10, seed=1), steps=10,
@@ -234,6 +241,31 @@ def test_checkpoint_every(tmp_path):
     assert (tmp_path / "step000010.ckpt").exists()
     loaded = Model.load(tmp_path / "step000010.ckpt")
     assert loaded.loaded_step == 10
+
+
+def plant_skipped_step(monkeypatch, step):
+    """Make training step ``step`` (from 1) a skipped step: its loss is finite,
+    and clip_gradients finds a non-finite gradient."""
+    calls = []
+
+    def clip(grads, clip_norm):
+        calls.append(1)
+        if len(calls) == step:
+            raise NonFiniteGradientError("planted")
+        return clip_gradients(grads, clip_norm)
+    monkeypatch.setattr(trainer_mod, "clip_gradients", clip)
+
+
+def test_a_skipped_step_keeps_the_checkpoint_cadence(tmp_path, monkeypatch):
+    model, schedule, packed, _ = tiny_setup(steps=8)
+    plant_skipped_step(monkeypatch, 4)
+    result = train(model, schedule, batch_iterator(packed, 2, 8, seed=1), steps=8,
+                   checkpoint_every=4, checkpoint_dir=tmp_path)
+    assert result.status == "completed" and result.skipped_steps == 1
+    assert math.isfinite(result.log[3].loss) and math.isnan(result.log[3].grad_norm)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["step000004.ckpt",
+                                                         "step000008.ckpt"]
+    assert Model.load(tmp_path / "step000004.ckpt").loaded_step == 4
 
 
 def test_run_coord_steps_emits_loss_and_rms():
@@ -300,6 +332,15 @@ def test_job_checks_every_rule_when_made_and_builds_nothing(monkeypatch, change,
         Job(**{"config": JOB_CONFIG, "hp": JOB_HP, "seed": 0, "rows_per_batch": 2,
                "steps": 6, **change})
     assert builds == []
+
+
+def test_a_batch_must_hold_the_tokens_its_schedule_steps_by():
+    # rows of 8 tokens under a config context of 16: each step would train 16
+    # tokens while the schedule logged 32 and advanced its rates twice as fast
+    short = pack([list(range(1, 60))], 8, pad_id=0)
+    job = Job(JOB_CONFIG, JOB_HP, 0, 2, 3)
+    with pytest.raises(ConfigError, match="a batch of 16 tokens, but the schedule steps by 32"):
+        run_jobs([job], short)
 
 
 # -- batch iterator -------------------------------------------------------------------
@@ -402,6 +443,20 @@ def test_sustained_spike_by_monotone_grad_norms():
     gnorms[-10:] = [0.6 + 0.05 * i for i in range(10)]
     event = detect_spike(list(zip(losses, gnorms)), recovery_window=10)
     assert event is not None and event.kind == "sustained"
+
+
+def test_skipped_step_does_not_blind_the_detector(monkeypatch):
+    losses, gnorms = stable_window(42)
+    losses[40] = 5.0                     # a one-step spike, recovered at step 41
+    event = detect_spike(list(zip(losses, gnorms)), recovery_window=10)
+    assert event.kind == "transient" and event.start_step == 40
+    # a skipped step's grad norm, as train logs it, 30 steps before the spike
+    model, schedule, packed, _ = tiny_setup(steps=2)
+    plant_skipped_step(monkeypatch, 1)
+    result = train(model, schedule, batch_iterator(packed, 2, 1, seed=1), steps=1)
+    gnorms[10] = result.log[0].grad_norm
+    assert math.isnan(gnorms[10])
+    assert detect_spike(list(zip(losses, gnorms)), recovery_window=10) == event
 
 
 def test_detect_rejects_recovery_window_below_two():
