@@ -243,14 +243,14 @@ def cmd_train(args, argv):
 
     trainer_mod.write_runlog(dirs["logs"] / "run_log.csv", result.log)
     dio.write_json(dirs["logs"] / "events.json", [asdict(e) for e in result.events])
-    steps_run = len(result.log)
+    steps_run = result.log[-1].step
     model.save(dirs["checkpoints"] / "final.ckpt", step=steps_run)
     summary = {
         "status": result.status,
         "steps_run": steps_run,
         "skipped_steps": result.skipped_steps,
-        "tokens_seen": result.log[-1].tokens if result.log else 0,
-        "final_loss": result.log[-1].loss if result.log else None,
+        "tokens_seen": result.log[-1].tokens,
+        "final_loss": result.log[-1].loss,
         "spike_events": len(result.events),
         "params": count_params(config),
         "rows_per_batch": rows_per_batch,
@@ -258,9 +258,7 @@ def cmd_train(args, argv):
     dio.write_json(dirs["reports"] / "summary.json", summary)
     print(f"status: {result.status} after {steps_run} steps "
           f"({summary['tokens_seen']} tokens)")
-    if result.log:
-        print(f"final loss: {result.log[-1].loss:.4f}  "
-              f"grad norm: {result.log[-1].grad_norm:.4f}")
+    print(f"final loss: {result.log[-1].loss:.4f}  grad norm: {result.log[-1].grad_norm:.4f}")
     if result.events:
         print(f"spike events: {len(result.events)} "
               f"({sum(1 for e in result.events if e.kind == 'sustained')} sustained)")

@@ -183,8 +183,18 @@ def _read_entry(path, data, ent: dict, offset: int) -> np.ndarray:
 
 
 def canonical_json(obj) -> str:
-    """Serialize ``obj`` deterministically (sorted keys, repr floats)."""
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """Serialize ``obj`` deterministically (sorted keys, repr floats), each NaN or
+    infinite float as null, so :func:`parse_json` reads back all that it writes."""
+    return json.dumps(_finite(obj), sort_keys=True, indent=2, allow_nan=False)
+
+
+def _finite(obj):
+    """``obj`` with each non-finite float, in any list, tuple or dict, replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 def _refuse(number: str):

@@ -401,9 +401,10 @@ def causal_attention(q: Tensor, k: Tensor, v: Tensor, bias, scale: float) -> Ten
 
     Query tile [r0, r1) of ATTN_TILE rows sees keys [:r1] only; in backward,
     key tile [c0, c1) sees queries [c0:] only.  The skipped entries are exact
-    zeros of P, so the result is bit-identical to the primitive chain when the
-    scale folded into q is a power of two and BLAS rounds a tile's products as
-    the full ones (on OpenBLAS 0.3.31: every T up to 200, and 256).  Backward
+    zeros of P.  With a power-of-two scale folded into q, the tests pin the
+    result bit-identical to the primitive chain at T = 7, 33, 40, 130 and 256,
+    and within 1e-15 relative at every T from 2 to 300: BLAS may round a
+    partial tile's products unlike the same rows of the full ones.  Backward
     keeps P: dS = P * (dP - rowsum(dP * P)) with dP = g @ v^T.
     """
     if q.data.ndim != 4 or k.shape != q.shape or v.shape[:-1] != q.shape[:-1]:

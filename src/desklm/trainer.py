@@ -312,11 +312,27 @@ def train_step(model: Model, batch, optimizer: AdamState, schedule: Schedule,
     return row, ok
 
 
+def spike_event(log, events, recovery_window: int = RECOVERY_WINDOW):
+    """The event `detect_spike` finds in the last DETECTOR_WINDOW steps of ``log``, its
+    start indexed by absolute step, or None; None too for a sustained event that starts
+    where the last sustained one in ``events`` did, so a long excursion is recorded once."""
+    if len(log) < recovery_window:
+        return None
+    window = [(r.loss, r.grad_norm) for r in log[-DETECTOR_WINDOW:]]
+    event = detect_spike(window, recovery_window)
+    if event is None:
+        return None
+    event.start_step += len(log) - len(window)
+    last = next((e.start_step for e in reversed(events) if e.kind == "sustained"), None)
+    return None if event.kind == "sustained" and event.start_step == last else event
+
+
 def train(model: Model, schedule: Schedule, batches, steps: int,
           detect: bool = True, recovery_window: int = RECOVERY_WINDOW,
           stop_on_abort: bool = True,
           checkpoint_every: int | None = None, checkpoint_dir=None) -> TrainResult:
-    """Run ``steps`` training steps with monitoring.
+    """Run ``steps`` training steps with monitoring; steps=0 logs one forward at
+    initialization as step 0 (grad norm NaN, rates 0).
 
     Divergence (non-finite loss) ends the run with status "diverged".
     A sustained spike records an event and, with ``stop_on_abort``, ends
@@ -329,36 +345,30 @@ def train(model: Model, schedule: Schedule, batches, steps: int,
     log, events = [], []
     status = "completed"
     skipped = 0
-    last_sustained_start = -1
-    for i, batch in zip(range(steps), batches):
-        row, ok = train_step(model, batch, optimizer, schedule, i)
+    n = max(steps, 1)            # rows the log holds unless the run stops early
+    for i, batch in zip(range(n), batches):
+        if steps:
+            row, ok = train_step(model, batch, optimizer, schedule, i)
+        else:
+            t0 = time.perf_counter()
+            row, ok = StepLog(0, 0, model.loss(*batch).item(), math.nan, 0.0, 0.0,
+                              (time.perf_counter() - t0) * 1e3, **model.last_stats), True
         log.append(row)
         if not math.isfinite(row.loss):
             status = "diverged"
             break
         # a skipped step leaves the weights as they were, still valid to save
-        if checkpoint_every is not None and (i + 1) % checkpoint_every == 0:
-            model.save(Path(checkpoint_dir) / f"step{i + 1:06d}.ckpt", step=i + 1)
-        if not ok:
-            skipped += 1
-            continue
-        if detect and len(log) >= recovery_window:
-            window = [(r.loss, r.grad_norm) for r in log[-DETECTOR_WINDOW:]]
-            event = detect_spike(window, recovery_window)
-            if event is not None:
-                # Index events by absolute step so repeats are deduped.
-                event.start_step += len(log) - len(window)
-                if event.kind == "sustained":
-                    if event.start_step != last_sustained_start:
-                        events.append(event)
-                        last_sustained_start = event.start_step
-                        if stop_on_abort:
-                            status = "abort_recommended"
-                            break
-                else:
-                    events.append(event)
-    if status == "completed" and len(log) < steps:
-        raise ConfigError(f"the batches ran out after {len(log)} of {steps} steps")
+        if checkpoint_every is not None and row.step and row.step % checkpoint_every == 0:
+            model.save(Path(checkpoint_dir) / f"step{row.step:06d}.ckpt", step=row.step)
+        skipped += not ok
+        event = spike_event(log, events, recovery_window) if detect and ok else None
+        if event is not None:
+            events.append(event)
+            if event.kind == "sustained" and stop_on_abort:
+                status = "abort_recommended"
+                break
+    if status == "completed" and len(log) < n:
+        raise ConfigError(f"the batches ran out after {len(log)} of {n} steps")
     return TrainResult(log=log, events=events, status=status, skipped_steps=skipped)
 
 
@@ -391,16 +401,8 @@ class Job:
 
 
 def run_coord_steps(model: Model, schedule: Schedule, batches, steps: int) -> TrainResult:
-    """Train ``steps`` steps without spike detection.  steps=0 logs one forward at
-    initialization as step 0 (grad norm NaN, rates 0), diverged if its loss is not finite."""
-    if steps != 0:
-        return train(model, schedule, batches, steps, detect=False)
-    t0 = time.perf_counter()
-    tokens, segments = next(iter(batches))
-    loss = model.loss(tokens, segments).item()
-    row = StepLog(0, 0, loss, math.nan, 0.0, 0.0, (time.perf_counter() - t0) * 1e3,
-                  **model.last_stats)
-    return TrainResult([row], [], "completed" if math.isfinite(loss) else "diverged")
+    """`train` without spike detection."""
+    return train(model, schedule, batches, steps, detect=False)
 
 
 def run_jobs(jobs, packed) -> list:
@@ -444,8 +446,8 @@ def score_run(log, status):
 
     score = w0 * final smoothed loss
           + w1 * total positive variation of the smoothed loss curve
-          + w2 * projected grad-norm rise from a linear fit to the second
-            half of the run (only if the slope is positive)
+          + w2 * projected grad-norm rise from a linear fit to the finite
+            grad norms of the second half of the run (only if the slope is positive)
 
     Diverged or aborted runs score +inf and rank last.
     """
@@ -456,12 +458,11 @@ def score_run(log, status):
     sm = smoothed(losses, w)
     final = float(np.mean(losses[-w:]))
     nonmono = float(sum(max(0.0, sm[i + 1] - sm[i]) for i in range(len(sm) - 1)))
-    half = [r.grad_norm for r in log[len(log) // 2:]]
-    if len(half) >= 2:
-        slope = float(np.polyfit(np.arange(len(half)), half, 1)[0])
-        gpen = max(0.0, slope) * len(half)
-    else:
-        gpen = 0.0
+    half = log[len(log) // 2:]
+    # a skipped step's NaN grad norm would make the slope NaN and the penalty 0
+    fit = [(i, r.grad_norm) for i, r in enumerate(half) if math.isfinite(r.grad_norm)]
+    slope = float(np.polyfit(*zip(*fit), 1)[0]) if len(fit) >= 2 else 0.0
+    gpen = max(0.0, slope) * len(half)
     w0, w1, w2 = SCORE_WEIGHTS
     score = w0 * final + w1 * nonmono + w2 * gpen
     return score, final, nonmono, gpen

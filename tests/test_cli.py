@@ -257,8 +257,11 @@ def packed_with_context(ws, tmp_path, context):
 
 
 def test_train_exit_codes_for_bad_outcomes(ws, tmp_path, monkeypatch):
+    # `train` always logs at least one row: step 0 when steps=0
+    row = trainer_mod.StepLog(2, 128, 1.0, 0.5, 0.0, 0.0, 0.0)
+
     def fake_train(*a, **k):
-        return TrainResult(log=[], events=[], status="abort_recommended")
+        return TrainResult(log=[row], events=[], status="abort_recommended")
     monkeypatch.setattr(trainer_mod, "train", fake_train)
     assert run(["train", "--config", str(ws / "config.json"),
                 "--hyperparams", str(ws / "hp.json"),
@@ -266,12 +269,14 @@ def test_train_exit_codes_for_bad_outcomes(ws, tmp_path, monkeypatch):
                 "--steps", "2", "--out", str(tmp_path / "a")]) == 3
 
     def fake_diverged(*a, **k):
-        return TrainResult(log=[], events=[], status="diverged")
+        return TrainResult(log=[replace(row, loss=math.inf)], events=[], status="diverged")
     monkeypatch.setattr(trainer_mod, "train", fake_diverged)
     assert run(["train", "--config", str(ws / "config.json"),
                 "--hyperparams", str(ws / "hp.json"),
                 "--data", str(ws / "packed.dlm"),
                 "--steps", "2", "--out", str(tmp_path / "b")]) == 1
+    summary = dio.read_json(tmp_path / "b" / "reports" / "summary.json")
+    assert summary["steps_run"] == 2 and summary["final_loss"] is None
 
 
 def test_train_rejects_bad_rows_per_batch(ws, tmp_path):
@@ -443,6 +448,9 @@ def test_grid_search_all_failed_exit(ws, tmp_path, monkeypatch):
     assert run(["grid-search", "--config", str(ws / "config.json"),
                 "--grid", str(grid_path), "--data", str(ws / "packed.dlm"),
                 "--steps", "6", "--out", str(tmp_path / "g")]) == 1
+    # the report's infinite scores are written as null, so the package reads it back
+    report = dio.read_json(tmp_path / "g" / "reports" / "grid_report.json")
+    assert report["all_failed"] is True and report["ranking"][0]["score"] is None
 
 
 def test_grid_search_rejects_empty_grid(ws, tmp_path):

@@ -219,6 +219,14 @@ def test_canonical_json_is_stable():
     assert a.index('"a"') < a.index('"b"')
 
 
+def test_written_json_reads_back_with_non_finite_floats_as_null(tmp_path):
+    inf, nan = float("inf"), float("nan")
+    dio.write_json(tmp_path / "x.json", {"loss": inf, "ctx": (1.5, nan, -inf),
+                                         "nested": [{"score": np.float64(nan)}]})
+    assert dio.read_json(tmp_path / "x.json") == {
+        "loss": None, "ctx": [1.5, None, None], "nested": [{"score": None}]}
+
+
 # -- synthetic corpus -----------------------------------------------------------
 
 def test_build_corpus_deterministic_and_round_robin():

@@ -277,22 +277,35 @@ def test_run_coord_steps_emits_loss_and_rms():
         assert math.isfinite(r.loss) and r.pre_logit_rms > 0 and len(r.block_rms) == 1
 
 
-def test_run_coord_steps_zero_steps_snapshots_init():
+# steps=0 through either runner; `train` runs with detection on and a checkpoint
+# due after every step, and must write none for step 0
+ZERO_STEPS = {
+    "run_coord_steps": lambda model, schedule, batches, _: run_coord_steps(
+        model, schedule, batches, steps=0),
+    "train": lambda model, schedule, batches, ckpt_dir: train(
+        model, schedule, batches, steps=0, detect=True, recovery_window=2,
+        checkpoint_every=1, checkpoint_dir=ckpt_dir)}
+
+
+@pytest.mark.parametrize("runner", ZERO_STEPS)
+def test_run_coord_steps_zero_steps_snapshots_init(runner, tmp_path):
     model, schedule, packed, _ = tiny_setup()
-    result = run_coord_steps(model, schedule, batch_iterator(packed, 2, 1, seed=1), steps=0)
-    assert result.status == "completed"
+    result = ZERO_STEPS[runner](model, schedule, batch_iterator(packed, 2, 1, seed=1), tmp_path)
+    assert result.status == "completed" and result.events == []
+    assert result.skipped_steps == 0 and list(tmp_path.iterdir()) == []
     [row] = result.log
     assert (row.step, row.tokens, row.lr_vector, row.lr_matrix) == (0, 0, 0.0, 0.0)
     assert math.isnan(row.grad_norm) and math.isfinite(row.loss)
     assert row.pre_logit_rms > 0 and len(row.block_rms) == 1
 
 
-def test_run_coord_steps_zero_steps_reports_nonfinite_loss():
+@pytest.mark.parametrize("runner", ZERO_STEPS)
+def test_run_coord_steps_zero_steps_reports_nonfinite_loss(runner, tmp_path):
     model, schedule, packed, _ = tiny_setup(output_mult=1e308)
     with np.errstate(over="ignore"):    # the logits overflow on purpose
-        result = run_coord_steps(
-            model, schedule, batch_iterator(packed, 2, 1, seed=1), steps=0)
-    assert result.status == "diverged"
+        result = ZERO_STEPS[runner](model, schedule, batch_iterator(packed, 2, 1, seed=1),
+                                    tmp_path)
+    assert result.status == "diverged" and list(tmp_path.iterdir()) == []
     assert [r.loss for r in result.log] == [math.inf]
 
 
@@ -524,6 +537,11 @@ def test_score_run_penalizes_rising_grads():
     log = [StepLog(i + 1, 0, 1.0, 0.1 * i, 0, 0, 0) for i in range(40)]
     _, _, _, gpen = score_run(log, "completed")
     assert gpen > 0
+    # a skipped step's NaN grad norm in the second half leaves the fit, not the penalty
+    log = [StepLog(i + 1, 0, 1.0, 0.01 * i, 0, 0, 0) for i in range(10)]
+    assert score_run(log, "completed")[3] == pytest.approx(0.05)
+    log[7].grad_norm = math.nan
+    assert score_run(log, "completed")[3] == pytest.approx(0.05)
 
 
 def test_grid_ranking_is_order_invariant(tmp_path):

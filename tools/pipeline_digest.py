@@ -14,8 +14,10 @@ corpus-plan, corpus-pack, ``train --save-initial --checkpoint-every
 --recovery-window`` (a window of 8 over 20 steps, so the spike detector runs
 13 times), grid-search (24 steps, longer than the default recovery window of
 20, so a grid that ran the detector would run it), ``coord-check --out`` at 3
-steps and at 0 (one forward at initialization) and ``eval-bpb --weights --out
---csv`` there, with relative paths so no output names the directory.  It
+steps and at 0 (one forward at initialization), ``eval-bpb --weights --out
+--csv`` and ``train --steps 0 --save-initial`` (the forward at initialization,
+whose ``final.ckpt`` is its ``initial.ckpt``) there, with relative paths so no
+output names the directory.  It
 prints canonical JSON ``{file: sha256}`` for every file written and every
 command's stdout (``<n>.<command>.stdout``).  The ``wall_ms`` column is dropped from
 ``run_log.csv`` and ``gridNNN.csv`` first, since it is a timing.  Exits 1
@@ -104,6 +106,9 @@ COMMANDS = [
     ["eval-bpb", "--checkpoint", "run/checkpoints/final.ckpt", "--tokenizer", "tok.json",
      "--eval", "eval.jsonl", "--weights", "profiles.json", "--out", "report.json",
      "--csv", "report.csv", "--json"],
+    # appended, not inserted: an insertion renumbers every later <n>.<command>.stdout
+    ["train", "--config", "config.json", "--hyperparams", "hp.json", "--data", "packed.dlm",
+     "--steps", "0", "--seed", "3", "--out", "run0", "--save-initial"],
 ]
 
 
