@@ -11,7 +11,7 @@ from desklm.corpus import pack
 from desklm.presets import toy_config, toy_hyperparams
 from desklm.synth import build_corpus
 from desklm.tokenizer import train_bbpe
-from desklm.trainer import run_grid
+from desklm.trainer import Job, run_grid
 
 
 def banner(title):
@@ -34,7 +34,9 @@ docs = build_corpus(seed=30, target_bytes=120_000)
 tok = train_bbpe([d.text for d in docs], 512, specials=("<pad>",))
 packed = pack([tok.encode(d.text) for d in docs], 128, tok.specials["<pad>"])
 
-entries = run_grid(toy_config(), grid, packed, steps=60, seed=2, rows_per_batch=4)
+# one Job per candidate: same model, seed, rows and steps, so one data order
+jobs = [Job(toy_config(), hp, seed=2, rows_per_batch=4, steps=60) for hp in grid]
+entries = run_grid(jobs, packed)
 print(f"{'rank':>4s} {'score':>8s} {'loss':>8s} {'nonmono':>8s} "
       f"{'gradpen':>8s}  config")
 for rank, e in enumerate(entries):

@@ -30,7 +30,7 @@ from . import evaluation as eval_mod
 from . import io as dio
 from . import tokenizer as tok_mod
 from . import trainer as trainer_mod
-from .errors import ConfigError, NonFiniteGradientError
+from .errors import ConfigError
 from .model import Model, ModelConfig, count_params
 from .mup import HyperParams, coordinate_check, hyperparams_to_dict
 
@@ -284,16 +284,12 @@ def cmd_grid_search(args, argv):
                             for i, (hp, r) in enumerate(zip(hp_list, rows)))
         raise ConfigError(f"grid candidates train different rows per batch ({listing}); "
                           "give them one batch_size_tokens or pass --rows-per-batch")
-    rows_per_batch = rows[0]
-    for hp in hp_list:     # making a Job checks its run; nothing is built yet
-        trainer_mod.Job(config, hp, args.seed, rows_per_batch, args.steps)
-    trainer_mod.check_grid(args.steps)
+    jobs = [trainer_mod.Job(config, hp, args.seed, rows[0], args.steps) for hp in hp_list]
+    trainer_mod.check_grid(jobs)
 
     dirs = _start_run(args, argv, {"model_config.json": config.to_dict(),
                                    "grid.json": grid_spec})
-    entries = trainer_mod.run_grid(config, hp_list, packed, args.steps, args.seed,
-                                   rows_per_batch=rows_per_batch,
-                                   out_dir=dirs["logs"])
+    entries = trainer_mod.run_grid(jobs, packed, out_dir=dirs["logs"])
     report = trainer_mod.grid_report(entries)
     dio.write_json(dirs["reports"] / "grid_report.json", report)
 
@@ -342,8 +338,6 @@ def cmd_coord_check(args):
         lines.append(f"wrote {args.out}")
     for line in lines:
         print(line)
-    if any(result.diverged.values()):
-        return EXIT_RUNTIME
     return EXIT_OK if stable else EXIT_RUNTIME
 
 
@@ -363,6 +357,10 @@ def _read_weight_profiles(path, domains) -> dict:
 def cmd_eval_bpb(args):
     model = Model.load(args.checkpoint)
     tok = tok_mod.TokenizerModel.load(args.tokenizer)
+    if tok.vocab_size > model.config.vocab_size:
+        raise ConfigError(f"tokenizer {args.tokenizer} has a vocabulary of {tok.vocab_size}, "
+                          f"larger than the {model.config.vocab_size} of checkpoint "
+                          f"{args.checkpoint}")
     groups = _docs_by_domain(corpus_mod.read_jsonl(args.eval))
     profiles = _read_weight_profiles(args.weights, groups) if args.weights else None
     eval_sets = [eval_mod.load_eval_set(name, groups[name], tok)
@@ -453,10 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--checkpoint-every", type=int, default=None)
     sp.add_argument("--save-initial", action="store_true",
                     help="checkpoint the untrained model as initial.ckpt")
-    sp.add_argument("--no-spike-detection", action="store_true")
     sp.add_argument("--recovery-window", type=int, default=trainer_mod.RECOVERY_WINDOW)
-    sp.add_argument("--keep-going", action="store_true",
-                    help="log sustained spikes but do not stop")
+    spikes = sp.add_mutually_exclusive_group()
+    spikes.add_argument("--no-spike-detection", action="store_true")
+    spikes.add_argument("--keep-going", action="store_true",
+                        help="log sustained spikes but do not stop")
 
     sp = add("grid-search", cmd_grid_search, "rank hyperparameter candidates",
              needs_argv=True)
@@ -504,9 +503,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv) if args.needs_argv else args.func(args)
-    except NonFiniteGradientError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RUNTIME
     except (ValueError, OSError) as e:
         # Covers the library's error types (all ValueError subclasses),
         # malformed JSON, and missing/unreadable files.

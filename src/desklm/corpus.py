@@ -181,7 +181,7 @@ def dedup(docs, threshold: float = 0.8, k: int = 128, shingle_n: int = 5,
     rows = k // bands
     buckets: dict = {}
     kept, removals = [], []
-    kept_sigs: dict = {}
+    signed = []     # (kept document, its signature); bucket entries index this list
     for doc in docs:
         try:
             sig = minhash_signature(doc.text, k=k, shingle_n=shingle_n, seed=seed)
@@ -189,26 +189,19 @@ def dedup(docs, threshold: float = 0.8, k: int = 128, shingle_n: int = 5,
             kept.append(doc)
             continue
         band_keys = [(bi, sig.mins[bi * rows:(bi + 1) * rows].tobytes()) for bi in range(bands)]
-        cand_ids = []
-        seen_cand = set()
-        for key in band_keys:
-            for kid in buckets.get(key, ()):
-                if kid not in seen_cand:
-                    seen_cand.add(kid)
-                    cand_ids.append(kid)
-        best_id, best_est = None, -1.0
-        for kid in cand_ids:
-            est = estimate_jaccard(sig, kept_sigs[kid])
+        best, best_est = None, -1.0
+        for ki in dict.fromkeys(i for key in band_keys for i in buckets.get(key, ())):
+            est = estimate_jaccard(sig, signed[ki][1])
             if est > best_est:
-                best_id, best_est = kid, est
-        if best_id is not None and best_est >= threshold:
-            removals.append(Removal(dropped_id=doc.id, matched_id=best_id,
+                best, best_est = ki, est
+        if best is not None and best_est >= threshold:
+            removals.append(Removal(dropped_id=doc.id, matched_id=signed[best][0].id,
                                     est_jaccard=best_est))
             continue
         kept.append(doc)
-        kept_sigs[doc.id] = sig
         for key in band_keys:
-            buckets.setdefault(key, []).append(doc.id)
+            buckets.setdefault(key, []).append(len(signed))
+        signed.append((doc, sig))
     return kept, removals
 
 
@@ -220,7 +213,7 @@ def write_removal_log(path, removals):
 
 # -- manifest and sampling plan ----------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class DomainSpec:
     name: str
     languages: list[str]
@@ -232,12 +225,13 @@ class DomainSpec:
     quality: str | None = None     # carried through for operators; never computed
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusManifest:
     domains: list[DomainSpec]
     total_token_budget: int
 
-    def validate(self):
+    def __post_init__(self):
+        object.__setattr__(self, "domains", tuple(self.domains))   # unchangeable once checked
         if not self.domains:
             raise ConfigError("manifest has no domains")
         names = [d.name for d in self.domains]
@@ -251,10 +245,9 @@ class CorpusManifest:
                 raise ConfigError(f"domain {d.name}: negative sampling_prop")
             if not d.epochs > 0:
                 raise ConfigError(f"domain {d.name}: epochs must be positive")
-        return self
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return asdict(self) | {"domains": [asdict(d) for d in self.domains]}   # a JSON list
 
 
 @dataclass
@@ -274,7 +267,6 @@ def sample_plan(manifest: CorpusManifest, total_tokens: int | None = None) -> li
     infeasible domain raises PlanningError naming the offenders (the full
     plan rides along on the exception).
     """
-    manifest.validate()
     total = manifest.total_token_budget if total_tokens is None else int(total_tokens)
     if total <= 0:
         raise ConfigError("total token budget must be positive")

@@ -229,7 +229,7 @@ def decode_record(cls, obj, where):
     ``list[X]``, ``dict[str, X]``, bool, int, float or str (an int passes for
     a float, a bool only for a bool).  A dataclass takes an object with each
     field, under its ``metadata["json"]`` name or its own, and no other; only
-    a field whose default is None may be absent.  Returns what the class's
+    a field whose default is None may be absent.  Returns what the record's
     ``validate()`` returns, if it has one.  Every error is a ConfigError
     starting with ``where``."""
     origin, args = typing.get_origin(cls), typing.get_args(cls)
@@ -250,9 +250,9 @@ def decode_record(cls, obj, where):
            "missing": sorted(k for k, (_, _, req) in table.items() if req and k not in obj)}
     if any(bad.values()):
         raise ConfigError(f"{where}: " + ", ".join(f"{k} fields {v}" for k, v in bad.items() if v))
-    record = cls(**{table[k][0]: decode_record(table[k][1], v, f"{where}: {k}")
-                    for k, v in obj.items()})
-    try:
+    values = {table[k][0]: decode_record(table[k][1], v, f"{where}: {k}") for k, v in obj.items()}
+    try:                        # a record checks itself when it is made
+        record = cls(**values)
         return record.validate() if hasattr(record, "validate") else record
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e

@@ -24,7 +24,7 @@ from .tensor import RngState, Tensor, trunc_normal
 CHECKPOINT_VERSION = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     layer_num: int
     attention_heads: int
@@ -37,7 +37,7 @@ class ModelConfig:
     attn_scale_mode: str = "mup"   # "mup": 1/d_head, "standard": 1/sqrt(d_head)
     dropout_rate: float = 0.0
 
-    def validate(self):
+    def __post_init__(self):
         # "not <ok>" rejects NaN
         for name in ("layer_num", "attention_heads", "hidden_size",
                      "ffn_hidden_size", "vocab_size", "context_length"):
@@ -55,6 +55,8 @@ class ModelConfig:
             raise ConfigError(f"unknown attn_scale_mode {self.attn_scale_mode!r}")
         if self.dropout_rate != 0.0:
             raise ConfigError("only dropout_rate=0.0 is supported")
+
+    def validate(self):     # the record itself: it was checked when it was made
         return self
 
     @property
@@ -133,8 +135,8 @@ class Model:
     """
 
     def __init__(self, config: ModelConfig, multipliers: Multipliers, params: dict):
-        self.config = config.validate()
-        self.multipliers = multipliers.validate()
+        self.config = config
+        self.multipliers = multipliers
         self.params = params
         self.last_stats = None
         self.loaded_step = 0   # the step of the checkpoint this model was loaded from

@@ -51,7 +51,7 @@ def classify(param_role: str) -> ParamClass:
     raise ClassificationError(f"unknown parameter role {param_role!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Multipliers:
     """Scalar multipliers on the embedding output and the pre-softmax
     hidden states.  Zero is degenerate but allowed: output_mult=0 makes
@@ -60,15 +60,14 @@ class Multipliers:
     input_mult: float
     output_mult: float
 
-    def validate(self):
+    def __post_init__(self):
         for name in ("input_mult", "output_mult"):
             v = getattr(self, name)
             if not (math.isfinite(v) and v >= 0):
                 raise ConfigError(f"{name} must be finite and >= 0")
-        return self
 
 
-@dataclass
+@dataclass(frozen=True)
 class HyperParams:
     """Searched and fixed training hyperparameters.
 
@@ -92,7 +91,7 @@ class HyperParams:
     batch_tokens: int = field(default=5_505_024, metadata={"json": "batch_size_tokens"})
     rope_theta: float = 10_000.0
 
-    def validate(self):
+    def __post_init__(self):
         # "not <ok>" rejects NaN.  lr = 0 is allowed: a zero-rate run is the cheapest
         # way to probe that the optimizer path is a no-op (checkpoint before == after).
         if not (self.vector_lr >= 0 and self.matrix_lr >= 0):
@@ -101,7 +100,7 @@ class HyperParams:
             raise ConfigError("min_lr must lie in [0, max(vector_lr, matrix_lr)]")
         if not (self.vector_std > 0 and self.matrix_std > 0):
             raise ConfigError("init stds must be positive")
-        Multipliers(self.input_mult, self.output_mult).validate()
+        Multipliers(self.input_mult, self.output_mult)     # checks the two multipliers
         if self.schedule_type != "cosine":
             raise ConfigError(f"unsupported schedule_type {self.schedule_type!r}")
         if not (self.schedule_tokens > 0 and self.batch_tokens > 0):
@@ -114,6 +113,8 @@ class HyperParams:
             raise ConfigError("weight_decay must be >= 0")
         if not self.rope_theta > 0:
             raise ConfigError("rope_theta must be positive")
+
+    def validate(self):     # the record itself: it was checked when it was made
         return self
 
 

@@ -24,7 +24,7 @@ def config_52b() -> ModelConfig:
         vocab_size=80000,
         context_length=4096,
         rope_theta=10_000.0,
-    ).validate()
+    )
 
 
 def config_mup_512() -> ModelConfig:
@@ -37,7 +37,7 @@ def config_mup_512() -> ModelConfig:
         vocab_size=80000,
         context_length=4096,
         rope_theta=10_000.0,
-    ).validate()
+    )
 
 
 def hyperparams_52b() -> HyperParams:
@@ -57,7 +57,7 @@ def hyperparams_52b() -> HyperParams:
         weight_decay=0.0,
         batch_tokens=5_505_024,
         rope_theta=10_000.0,
-    ).validate()
+    )
 
 
 def hyperparams_mup_512() -> HyperParams:
@@ -79,7 +79,7 @@ def hyperparams_mup_512() -> HyperParams:
         weight_decay=0.0,
         batch_tokens=5_505_024,
         rope_theta=10_000.0,
-    ).validate()
+    )
 
 
 # Published 11-domain pre-training mixture: (name, languages, sampling
@@ -123,8 +123,7 @@ def reference_manifest(total_token_budget: int = 2_000_000_000_000,
         domains.append(DomainSpec(name=name, languages=list(langs), path="",
                                   sampling_prop=prop, epochs=epochs,
                                   size_bytes=size_bytes, token_estimate=est))
-    return CorpusManifest(domains=domains,
-                          total_token_budget=total_token_budget).validate()
+    return CorpusManifest(domains=domains, total_token_budget=total_token_budget)
 
 
 def toy_config(width: int = 64, layer_num: int = 2, vocab_size: int = 512,
@@ -141,7 +140,7 @@ def toy_config(width: int = 64, layer_num: int = 2, vocab_size: int = 512,
         ffn_hidden_size=ffn,
         vocab_size=vocab_size,
         context_length=context_length,
-    ).validate()
+    )
 
 
 def toy_hyperparams(steps: int = 500, batch_tokens: int = 512,
@@ -166,4 +165,4 @@ def toy_hyperparams(steps: int = 500, batch_tokens: int = 512,
         weight_decay=0.0,
         batch_tokens=batch_tokens,
         rope_theta=10_000.0,
-    ).validate()
+    )

@@ -128,7 +128,7 @@ STYLES = ("english", "chinese", "classical_chinese", "code", "math", "multilingu
 
 
 def make_document(rng: RngState, style: str, size: int = 60) -> str:
-    """One synthetic document; ``size`` roughly scales its length."""
+    """One synthetic document in a style of ``STYLES``; ``size`` roughly scales its length."""
     if style == "english":
         return _english(rng, size)
     if style == "chinese":
@@ -141,7 +141,7 @@ def make_document(rng: RngState, style: str, size: int = 60) -> str:
         return _math(rng, max(2, size // 3))
     if style == "multilingual":
         return _multilingual(rng, size * 8)
-    return _english(rng, size)   # unknown domain names fall back to prose
+    raise ValueError(f"unknown style {style!r}; the styles are {', '.join(STYLES)}")
 
 
 def build_corpus(seed: int, target_bytes: int, styles=STYLES,

@@ -47,11 +47,9 @@ class Schedule:
     def warmup_tokens(self) -> int:
         return self.hp.warmup_steps * self.batch_tokens
 
-    def validate(self):
-        self.hp.validate()
+    def __post_init__(self):
         if self.warmup_tokens >= self.hp.schedule_tokens:
             raise ConfigError("warmup must end before schedule_tokens")
-        return self
 
 
 def lr_at(schedule: Schedule, param_class: ParamClass, tokens_seen: int) -> float:
@@ -339,7 +337,6 @@ def train(model: Model, schedule: Schedule, batches, steps: int,
     the run with status "abort_recommended".  Transient spikes are logged
     and training continues.  Batches that run out first raise ConfigError.
     """
-    schedule.validate()
     check_run(steps, recovery_window, checkpoint_every, checkpoint_dir)
     optimizer = AdamState(model)
     log, events = [], []
@@ -383,8 +380,8 @@ class Job:
     steps: int
 
     def __post_init__(self):
-        check_hyperparams(self.config.validate(), self.hp)
-        self.schedule.validate()
+        check_hyperparams(self.config, self.hp)
+        self.schedule     # a Schedule checks its warmup when it is made
         check_run(self.steps, rows_per_batch=self.rows_per_batch)
 
     @property
@@ -468,23 +465,23 @@ def score_run(log, status):
     return score, final, nonmono, gpen
 
 
-def check_grid(steps: int):
-    """The rule for a grid search's length: it scores a curve, so steps >= 1."""
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1 for a grid search, got {steps}")
+def check_grid(jobs):
+    """The rule for a grid's jobs: one model and data order (only ``hp`` differs), steps >= 1."""
+    if len({(job.config, job.seed, job.rows_per_batch, job.steps) for job in jobs}) > 1:
+        raise ConfigError("grid jobs must share one config, seed, rows_per_batch and steps")
+    if jobs and jobs[0].steps < 1:
+        raise ConfigError(f"steps must be >= 1 for a grid search, got {jobs[0].steps}")
 
 
-def run_grid(base_config, hp_list, packed, steps: int, seed: int,
-             rows_per_batch: int, out_dir=None) -> list:
-    """Train every candidate on an identical data order and rank them.
+def run_grid(jobs, packed, out_dir=None) -> list:
+    """Train every job on one data order of ``packed`` rows and rank them.
 
     Returns GridEntry rows sorted best-first.  The ranking is invariant to
-    the order of ``hp_list``: ties break on the canonical config JSON.
+    the order of ``jobs``: ties break on the canonical config JSON.
     Every run's full curve is persisted under ``out_dir`` when given.
     Candidates train without spike detection: no event changes a score.
     """
-    check_grid(steps)
-    jobs = [Job(base_config, hp, seed, rows_per_batch, steps) for hp in hp_list]
+    check_grid(jobs)
     entries = []
     for idx, (job, result) in enumerate(zip(jobs, run_jobs(jobs, packed))):
         score, final, nonmono, gpen = score_run(result.log, result.status)

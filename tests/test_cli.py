@@ -15,7 +15,7 @@ from desklm import trainer as trainer_mod
 from desklm.corpus import (Document, load_packed, pack, save_packed,
                            write_jsonl)
 from desklm.model import Model, ModelConfig
-from desklm.mup import HyperParams, hyperparams_to_dict
+from desklm.mup import CoordCheckResult, HyperParams, hyperparams_to_dict
 from desklm.presets import (reference_manifest, toy_config, toy_hyperparams)
 from desklm.synth import STYLES, build_corpus
 from desklm.tensor import RngState
@@ -399,6 +399,17 @@ def test_train_spike_flags_change_the_exit_not_the_arithmetic(ws, tmp_path):
     assert len(curve(kept)) == 30 and curve(kept) == curve(blind)
 
 
+def test_train_refuses_spike_flags_that_cancel_each_other(ws, tmp_path, capsys):
+    # --keep-going has nothing to keep going past once detection is off
+    out = tmp_path / "both"
+    with pytest.raises(SystemExit) as exit_:
+        run(["train", "--config", str(ws / "config.json"), "--hyperparams", str(ws / "hp.json"),
+             "--data", str(ws / "packed.dlm"), "--steps", "2", "--out", str(out),
+             "--no-spike-detection", "--keep-going"])
+    assert exit_.value.code == 2 and not out.exists()
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 # -- grid search --------------------------------------------------------------------------
 
 def test_grid_search_builds_each_candidate_once(ws, tmp_path, monkeypatch):
@@ -545,6 +556,20 @@ def test_coord_check_strict_limit_fails(ws, tmp_path, capsys):
     assert "NOT stable" in capsys.readouterr().out
 
 
+def test_coord_check_fails_when_a_width_diverges(ws, tmp_path, monkeypatch, capsys):
+    # equal activation scales, so only the diverged width makes the check fail
+    def diverged(config, hp, widths, *a, **k):
+        return CoordCheckResult(rows=[], diverged={w: w == widths[-1] for w in widths},
+                                max_rms={w: 1.0 for w in widths})
+    monkeypatch.setattr(cli, "coordinate_check", diverged)
+    assert run(["coord-check", "--config", str(coord_config(ws, tmp_path)),
+                "--hyperparams", str(ws / "hp.json"), "--widths", "16,32",
+                "--data", str(ws / "packed.dlm")]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2].startswith("32 ") and lines[2].endswith("yes")
+    assert lines[-1].endswith("NOT stable")
+
+
 def test_coord_check_and_train_log_the_same_run(ws, tmp_path):
     # without --rows-per-batch both derive batch_size_tokens / context_length rows
     hp_path = tmp_path / "hp128.json"
@@ -634,6 +659,21 @@ def test_eval_bpb_has_no_rows_flag(ws, trained_run, capsys):
              "--rows-per-batch", "8"])
     assert exit_.value.code == 2
     assert "unrecognized arguments: --rows-per-batch 8" in capsys.readouterr().err
+
+
+def test_eval_bpb_refuses_a_tokenizer_wider_than_the_checkpoint(ws, trained_run, tmp_path,
+                                                               capsys, monkeypatch):
+    wide = tmp_path / "tok400.json"
+    train_bbpe([d.text for d in build_corpus(seed=41, target_bytes=30_000)], 400,
+               specials=("<pad>",)).save(wide)
+    encodes = []
+    monkeypatch.setattr(TokenizerModel, "encode", lambda *a: encodes.append(a))
+    ckpt = trained_run / "checkpoints" / "final.ckpt"
+    assert run(["eval-bpb", "--checkpoint", str(ckpt), "--tokenizer", str(wide),
+                "--eval", str(ws / "eval.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert f"tokenizer {wide} has a vocabulary of 400, larger than the 300" in err
+    assert f"checkpoint {ckpt}" in err and encodes == []
 
 
 def test_eval_bpb_mismatched_weights(ws, trained_run, tmp_path):

@@ -148,6 +148,16 @@ def test_dedup_exact_copy_scores_one():
     assert exact[0].est_jaccard == 1.0
 
 
+def test_dedup_matches_every_kept_document_when_ids_repeat():
+    # the second "x" must not hide the first one's signature from "z", its near-copy
+    originals, docs = planted_corpus()
+    texts = originals[0].text, originals[1].text, docs[-1].text
+    for ids in ("xyz", "xxz"):
+        kept, removals = dedup([Document(i, "d", t) for i, t in zip(ids, texts)])
+        assert [d.text for d in kept] == list(texts[:2])
+        assert [(r.dropped_id, r.matched_id) for r in removals] == [("z", "x")]
+
+
 def test_dedup_keeps_wordless_documents():
     docs = [Document(id="a", domain="d", text="   "),
             Document(id="b", domain="d", text="   ")]
@@ -288,18 +298,24 @@ def test_feasibility_uses_epochs_times_estimate():
 
 def test_manifest_validation():
     with pytest.raises(ConfigError):
-        CorpusManifest(domains=[], total_token_budget=1).validate()
+        CorpusManifest(domains=[], total_token_budget=1)
     with pytest.raises(ConfigError):
         CorpusManifest(domains=[spec("a", 0.5), spec("a", 0.5)],
-                       total_token_budget=1).validate()
+                       total_token_budget=1)
     with pytest.raises(ConfigError):
-        CorpusManifest(domains=[spec("a", 0.7)], total_token_budget=1).validate()
+        CorpusManifest(domains=[spec("a", 0.7)], total_token_budget=1)
     with pytest.raises(ConfigError):
         CorpusManifest(domains=[spec("a", 1.2), spec("b", -0.2)],
-                       total_token_budget=1).validate()
+                       total_token_budget=1)
     with pytest.raises(ConfigError):
         CorpusManifest(domains=[spec("a", 1.0, epochs=0.0)],
-                       total_token_budget=1).validate()
+                       total_token_budget=1)
+
+
+def test_manifest_domains_cannot_change_after_the_check():
+    manifest = reference_manifest()
+    with pytest.raises(AttributeError):     # a duplicate name would break the checked rule
+        manifest.domains.append(manifest.domains[0])
 
 
 def test_manifest_round_trip(tmp_path):

@@ -250,6 +250,11 @@ def test_every_style_produces_text(style):
     assert len(text) > 20
 
 
+def test_unknown_style_is_refused_by_name():
+    with pytest.raises(ValueError, match="unknown style 'poetry'; the styles are english, "):
+        make_document(RngState(1), "poetry")
+
+
 def test_size_scales_documents():
     short = make_document(RngState(1), "english", size=5)
     long = make_document(RngState(1), "english", size=50)

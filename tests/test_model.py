@@ -1,5 +1,6 @@
 """Architecture: parameter accounting, masking, checkpointing, gradients."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,6 +102,11 @@ def test_config_rejects_unknown_scale_mode():
 def test_config_rejects_nan(name):
     with pytest.raises(ConfigError):
         small_config(**{name: float("nan")})
+
+
+def test_config_is_checked_when_replaced():
+    with pytest.raises(ConfigError, match="divisible by attention_heads"):
+        replace(small_config(), attention_heads=3)
 
 
 def test_scale_modes_differ():

@@ -1,6 +1,6 @@
 """Training loop: schedule, clipping, Adam, spike detection, grid search."""
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,11 +9,11 @@ from desklm import trainer as trainer_mod
 from desklm.corpus import pack
 from desklm.errors import ConfigError, NonFiniteGradientError
 from desklm.model import Model
-from desklm.mup import ParamClass
-from desklm.presets import hyperparams_52b, toy_config, toy_hyperparams
+from desklm.mup import Multipliers, ParamClass
+from desklm.presets import hyperparams_52b, reference_manifest, toy_config, toy_hyperparams
 from desklm.tensor import RngState
 from desklm.trainer import (DETECTOR_WINDOW, AdamState, GridEntry, Job, Schedule, StepLog,
-                            batch_iterator, clip_gradients, detect_spike,
+                            batch_iterator, check_grid, clip_gradients, detect_spike,
                             grid_report, lr_at, read_runlog, run_coord_steps,
                             run_grid, run_jobs, score_run, smoothed, train, train_step,
                             write_runlog)
@@ -24,13 +24,13 @@ def tiny_setup(seed=0, steps=30, **hp_over):
     hp = toy_hyperparams(steps=steps, batch_tokens=32,
                          warmup_steps=min(5, steps - 1))
     if hp_over:
-        hp = replace(hp, **hp_over).validate()
+        hp = replace(hp, **hp_over)
     model = Model.build(config, hp, RngState(seed))
     rng = np.random.default_rng(seed + 1)
     docs = [list(map(int, rng.integers(1, 64, size=int(rng.integers(5, 30)))))
             for _ in range(20)]
     packed = pack(docs, 16, pad_id=0)
-    return model, Schedule.from_hyperparams(hp).validate(), packed, hp
+    return model, Schedule.from_hyperparams(hp), packed, hp
 
 
 # -- learning-rate schedule ------------------------------------------------------
@@ -93,14 +93,13 @@ def test_lr_rejects_negative_tokens():
 def test_schedule_validation():
     hp = toy_hyperparams()
     with pytest.raises(ConfigError):
-        Schedule.from_hyperparams(replace(hp, warmup_steps=10**9)).validate()
+        Schedule.from_hyperparams(replace(hp, warmup_steps=10**9))
     with pytest.raises(ConfigError):
-        Schedule.from_hyperparams(replace(hp, matrix_lr=-1.0)).validate()
-    Schedule.from_hyperparams(replace(hp, vector_lr=0.0, matrix_lr=0.0,
-                                      min_lr=0.0)).validate()
+        Schedule.from_hyperparams(replace(hp, matrix_lr=-1.0))
+    Schedule.from_hyperparams(replace(hp, vector_lr=0.0, matrix_lr=0.0, min_lr=0.0))
     # hp itself is valid; only the run's step size pushes warmup past the end
     with pytest.raises(ConfigError, match="warmup"):
-        Schedule(hp, hp.schedule_tokens).validate()
+        Schedule(hp, hp.schedule_tokens)
     with pytest.raises(TypeError):
         Schedule.from_hyperparams(hp, warmup_steps=5)
 
@@ -178,9 +177,9 @@ def test_zero_lr_run_is_a_no_op():
                                  {"min_lr": 0.5}])   # above both peak rates
 def test_train_rejects_invalid_schedule_before_first_step(bad):
     model, _, packed, hp = tiny_setup()
-    schedule = Schedule.from_hyperparams(replace(hp, **bad))
     before = {k: p.data.copy() for k, p in model.params.items()}
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError):     # an invalid schedule cannot be made
+        schedule = Schedule.from_hyperparams(replace(hp, **bad))
         train(model, schedule, batch_iterator(packed, 2, 5, seed=1), steps=5)
     for k, p in model.params.items():
         assert np.array_equal(p.data, before[k]), k
@@ -333,7 +332,8 @@ JOB_CASES = {
     "warmup": ({"rows_per_batch": 64}, "warmup must end"),
     "rows_per_batch=0": ({"rows_per_batch": 0}, "rows_per_batch must be >= 1"),
     "steps=-1": ({"steps": -1}, "steps must be >= 0"),
-    "config": ({"config": replace(JOB_CONFIG, attention_heads=3)},
+    # made inside the test: an invalid config raises when it is made
+    "config": (lambda: {"config": replace(JOB_CONFIG, attention_heads=3)},
                "divisible by attention_heads")}
 
 
@@ -342,9 +342,36 @@ def test_job_checks_every_rule_when_made_and_builds_nothing(monkeypatch, change,
     builds = []
     monkeypatch.setattr(Model, "build", lambda *a: builds.append(a))
     with pytest.raises(ConfigError, match=message):
+        change = change() if callable(change) else change
         Job(**{"config": JOB_CONFIG, "hp": JOB_HP, "seed": 0, "rows_per_batch": 2,
                "steps": 6, **change})
     assert builds == []
+
+
+def test_equal_jobs_are_equal_and_hash_equal():
+    # each record is made anew, so equality is by value
+    a, b = (Job(replace(JOB_CONFIG), replace(JOB_HP), 0, 2, 6) for _ in range(2))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert replace(a, seed=1) != a
+
+
+@pytest.mark.parametrize("record, name", [
+    (JOB_CONFIG, "hidden_size"), (JOB_HP, "matrix_lr"), (Multipliers(1.0, 1.0), "output_mult"),
+    (reference_manifest(), "domains"), (reference_manifest().domains[0], "sampling_prop"),
+    (Schedule.from_hyperparams(JOB_HP), "batch_tokens"), (Job(JOB_CONFIG, JOB_HP, 0, 2, 6), "hp")],
+    ids=lambda v: type(v).__name__ if not isinstance(v, str) else v)
+def test_records_cannot_change_after_they_are_made(record, name):
+    with pytest.raises(FrozenInstanceError):
+        setattr(record, name, getattr(record, name))
+
+
+def test_check_grid_refuses_jobs_that_differ_beyond_hyperparameters():
+    job = Job(JOB_CONFIG, JOB_HP, 0, 2, 6)
+    check_grid([job, replace(job, hp=replace(JOB_HP, matrix_lr=0.05))])
+    for change in ({"seed": 1}, {"rows_per_batch": 1}, {"steps": 5},
+                   {"config": replace(JOB_CONFIG, layer_num=2)}):
+        with pytest.raises(ConfigError, match="share one config, seed, rows_per_batch"):
+            check_grid([job, replace(job, **change)])
 
 
 def test_a_batch_must_hold_the_tokens_its_schedule_steps_by():
@@ -551,10 +578,9 @@ def test_grid_ranking_is_order_invariant(tmp_path):
     rng = np.random.default_rng(5)
     docs = [list(map(int, rng.integers(1, 64, size=20))) for _ in range(10)]
     packed = pack(docs, 16, pad_id=0)
-    e_ab = run_grid(config, [hp_good, hp_bad], packed, steps=10, seed=4,
-                    rows_per_batch=2, out_dir=tmp_path)
-    e_ba = run_grid(config, [hp_bad, hp_good], packed, steps=10, seed=4,
-                    rows_per_batch=2)
+    good, bad = (Job(config, hp, 4, 2, 10) for hp in (hp_good, hp_bad))
+    e_ab = run_grid([good, bad], packed, out_dir=tmp_path)
+    e_ba = run_grid([bad, good], packed)
     assert [e.config for e in e_ab] == [e.config for e in e_ba]
     assert [e.score for e in e_ab] == [e.score for e in e_ba]
     assert e_ab[0].score <= e_ab[1].score
@@ -577,9 +603,9 @@ def test_grid_curve_is_the_detected_run_without_its_events(tmp_path):
                   16, pad_id=0)
     hp = replace(toy_hyperparams(steps=60, batch_tokens=32, warmup_steps=20),
                  vector_lr=0.1, matrix_lr=0.1)
-    [entry] = run_grid(config, [hp], packed, steps=60, seed=4, rows_per_batch=2,
-                       out_dir=tmp_path)
-    model, schedule, batches = Job(config, hp, 4, 2, 60).build(packed)
+    job = Job(config, hp, 4, 2, 60)
+    [entry] = run_grid([job], packed, out_dir=tmp_path)
+    model, schedule, batches = job.build(packed)
     detected = train(model, schedule, batches, 60, detect=True, stop_on_abort=False)
     assert detected.events
 
@@ -595,7 +621,7 @@ def test_grid_rejects_zero_steps():
     _, _, packed, hp = tiny_setup()
     config = toy_config(32, layer_num=1, vocab_size=64, context_length=16)
     with pytest.raises(ConfigError, match="steps must be >= 1"):
-        run_grid(config, [hp], packed, steps=0, seed=0, rows_per_batch=2)
+        run_grid([Job(config, hp, 0, 2, 0)], packed)
 
 
 def test_grid_report_flags_all_failed():
