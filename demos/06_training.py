@@ -11,8 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from desklm.corpus import pack
-from desklm.model import Model
-from desklm.mup import ParamClass
+from desklm.model import Model, ParamClass
 from desklm.presets import toy_config, toy_hyperparams
 from desklm.synth import build_corpus
 from desklm.tensor import RngState

@@ -7,9 +7,9 @@ bits-per-byte evaluation.
 """
 
 from .tensor import Tensor, RngState, trunc_normal
-from .model import Model, ModelConfig, Multipliers, count_params
-from .mup import (HyperParams, ParamClass, WidthPair, classify, transfer,
-                  coordinate_check, scaled_config)
+from .model import (HyperParams, Model, ModelConfig, Multipliers, ParamClass, classify,
+                    count_params)
+from .mup import WidthPair, transfer, coordinate_check, scaled_config
 from .tokenizer import TokenizerModel, train_bbpe, compression_ratio
 from .corpus import (Document, CorpusManifest, DomainSpec, dedup, dedup_paragraphs,
                      minhash_signature, estimate_jaccard, sample_plan, pack,

@@ -31,8 +31,8 @@ from . import io as dio
 from . import tokenizer as tok_mod
 from . import trainer as trainer_mod
 from .errors import ConfigError
-from .model import Model, ModelConfig, count_params
-from .mup import HyperParams, coordinate_check, hyperparams_to_dict
+from .model import HyperParams, Model, ModelConfig, count_params, hyperparams_to_dict
+from .mup import coordinate_check
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1

@@ -224,6 +224,9 @@ class DomainSpec:
     token_estimate: int | None = None
     quality: str | None = None     # carried through for operators; never computed
 
+    def __post_init__(self):
+        object.__setattr__(self, "languages", tuple(self.languages))   # unchangeable once made
+
 
 @dataclass(frozen=True)
 class CorpusManifest:
@@ -247,7 +250,8 @@ class CorpusManifest:
                 raise ConfigError(f"domain {d.name}: epochs must be positive")
 
     def to_dict(self) -> dict:
-        return asdict(self) | {"domains": [asdict(d) for d in self.domains]}   # a JSON list
+        return asdict(self) | {"domains": [asdict(d) | {"languages": list(d.languages)}
+                                           for d in self.domains]}   # JSON lists
 
 
 @dataclass
@@ -350,4 +354,7 @@ def load_packed(path):
     if len(shape) != 2 or got != {"tokens": ("<i4", shape), "segments": ("<i4", shape)}:
         raise CorruptFileError(f"{path}: a packed file holds two 2-D <i4 arrays of one shape, "
                                f"tokens and segments, not {got}")
+    if meta.get("context_length") != shape[1]:
+        raise CorruptFileError(f"{path}: header context_length {meta.get('context_length')!r} "
+                               f"differs from its rows of {shape[1]} tokens")
     return arrays["tokens"], arrays["segments"], meta

@@ -1,6 +1,7 @@
 """Decoder-only transformer: pre-norm RMSNorm blocks with SwiGLU FFNs,
 rotary position embeddings, untied input/output embeddings, and no linear
-biases anywhere except the final LayerNorm.
+biases anywhere except the final LayerNorm.  Also what a model is built from:
+parameter roles and their width classes, ``Multipliers`` and ``HyperParams``.
 
 Two scalar multipliers shape the forward pass: ``input_mult`` scales the
 embedding output, ``output_mult`` scales the final hidden states before the
@@ -11,17 +12,109 @@ convention); set ``attn_scale_mode="standard"`` for 1/sqrt(d_head).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, field, fields
+from enum import Enum
 
 import numpy as np
 
 from . import io as dio
 from . import tensor as T
-from .errors import ConfigError, CorruptFileError
-from .mup import HyperParams, Multipliers, ParamClass, classify
+from .errors import ClassificationError, ConfigError, CorruptFileError
 from .tensor import RngState, Tensor, trunc_normal
 
 CHECKPOINT_VERSION = 1
+
+
+class ParamClass(Enum):
+    MATRIX = "matrix_like"
+    VECTOR = "vector_like"
+
+
+# Role suffixes whose tensors have both dims proportional to width.
+_MATRIX_SUFFIXES = ("wq", "wk", "wv", "wo", "w_gate", "w_up", "w_down")
+_VECTOR_SUFFIXES = ("embedding", "lm_head", "gain", "bias")
+
+
+def classify(param_role: str) -> ParamClass:
+    """Map a parameter role name to its width-scaling class.
+
+    Unknown roles raise ClassificationError rather than guessing.
+    """
+    leaf = param_role.rsplit(".", 1)[-1]
+    if leaf in _MATRIX_SUFFIXES:
+        return ParamClass.MATRIX
+    if leaf in _VECTOR_SUFFIXES:
+        return ParamClass.VECTOR
+    raise ClassificationError(f"unknown parameter role {param_role!r}")
+
+
+@dataclass(frozen=True)
+class Multipliers:
+    """Scalar multipliers on the embedding output and the pre-softmax
+    hidden states.  Zero is degenerate but allowed: output_mult=0 makes
+    every logit exactly zero, which is useful as a uniform-prediction probe.
+    """
+    input_mult: float
+    output_mult: float
+
+    def __post_init__(self):
+        for name in ("input_mult", "output_mult"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v >= 0):
+                raise ConfigError(f"{name} must be finite and >= 0")
+
+
+@dataclass(frozen=True)
+class HyperParams:
+    """Searched and fixed training hyperparameters.
+
+    The searched seven: two learning rates, min lr, two init stds, and the
+    two multipliers.  The rest ride along unchanged through width transfer.
+    JSON names (``metadata["json"]``) follow the published table, snake_cased.
+    """
+
+    vector_lr: float = field(metadata={"json": "learning_rate"})
+    matrix_lr: float = field(metadata={"json": "matrix_learning_rate"})
+    min_lr: float = field(metadata={"json": "minimum_learning_rate"})
+    vector_std: float = field(metadata={"json": "standard_deviation"})
+    matrix_std: float = field(metadata={"json": "matrix_standard_deviation"})
+    input_mult: float
+    output_mult: float
+    schedule_type: str = field(default="cosine", metadata={"json": "lr_schedule_type"})
+    schedule_tokens: int = field(default=2_500_000_000_000, metadata={"json": "lr_schedule_tokens"})
+    warmup_steps: int = field(default=2_000, metadata={"json": "warmup_step"})
+    clip_grad: float = 1.0
+    weight_decay: float = 0.0
+    batch_tokens: int = field(default=5_505_024, metadata={"json": "batch_size_tokens"})
+    rope_theta: float = 10_000.0
+
+    def __post_init__(self):
+        # "not <ok>" rejects NaN.  lr = 0 is allowed: a zero-rate run is the cheapest
+        # way to probe that the optimizer path is a no-op (checkpoint before == after).
+        if not (self.vector_lr >= 0 and self.matrix_lr >= 0):
+            raise ConfigError("learning rates must be >= 0")
+        if not 0 <= self.min_lr <= max(self.vector_lr, self.matrix_lr):
+            raise ConfigError("min_lr must lie in [0, max(vector_lr, matrix_lr)]")
+        if not (self.vector_std > 0 and self.matrix_std > 0):
+            raise ConfigError("init stds must be positive")
+        Multipliers(self.input_mult, self.output_mult)     # checks the two multipliers
+        if self.schedule_type != "cosine":
+            raise ConfigError(f"unsupported schedule_type {self.schedule_type!r}")
+        if not (self.schedule_tokens > 0 and self.batch_tokens > 0):
+            raise ConfigError("schedule_tokens and batch_tokens must be positive")
+        if not self.warmup_steps >= 0:
+            raise ConfigError("warmup_steps must be >= 0")
+        if not self.clip_grad > 0:
+            raise ConfigError("clip_grad must be positive")
+        if not self.weight_decay >= 0:
+            raise ConfigError("weight_decay must be >= 0")
+        if not self.rope_theta > 0:
+            raise ConfigError("rope_theta must be positive")
+
+
+def hyperparams_to_dict(hp: HyperParams) -> dict:
+    """``hp`` under its JSON field names."""
+    return {f.metadata.get("json", f.name): getattr(hp, f.name) for f in fields(hp)}
 
 
 @dataclass(frozen=True)
@@ -55,9 +148,6 @@ class ModelConfig:
             raise ConfigError(f"unknown attn_scale_mode {self.attn_scale_mode!r}")
         if self.dropout_rate != 0.0:
             raise ConfigError("only dropout_rate=0.0 is supported")
-
-    def validate(self):     # the record itself: it was checked when it was made
-        return self
 
     @property
     def head_dim(self) -> int:
@@ -282,5 +372,7 @@ class Model:
             raise CorruptFileError(f"{path}: holds arrays {sorted(got.items() - want.items())} "
                                    f"where its config needs {sorted(want.items() - got.items())}")
         model = cls(config, mult, {k: Tensor(arrays[k], requires_grad=True) for k in want})
-        model.loaded_step = meta.get("step", 0)
+        if type(step := meta.get("step")) is not int or step < 0:
+            raise CorruptFileError(f"{path}: step must be an int >= 0, got {step!r}")
+        model.loaded_step = step
         return model

@@ -10,8 +10,7 @@ search optimum to width 8192 reproduces the flagship values bit for bit.
 from __future__ import annotations
 
 from .corpus import CorpusManifest, DomainSpec
-from .model import ModelConfig
-from .mup import HyperParams
+from .model import HyperParams, ModelConfig
 
 
 def config_52b() -> ModelConfig:
@@ -120,7 +119,7 @@ def reference_manifest(total_token_budget: int = 2_000_000_000_000,
             prop = prop + slack
         size_bytes = int(size_gb * 1e9)
         est = int(size_bytes * tokens_per_byte) if tokens_per_byte else None
-        domains.append(DomainSpec(name=name, languages=list(langs), path="",
+        domains.append(DomainSpec(name=name, languages=langs, path="",
                                   sampling_prop=prop, epochs=epochs,
                                   size_bytes=size_bytes, token_estimate=est))
     return CorpusManifest(domains=domains, total_token_budget=total_token_budget)

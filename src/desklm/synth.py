@@ -165,18 +165,13 @@ def mixed_fixture_text(seed: int = 1234, target_bytes: int = 1_000_000) -> list[
     return build_corpus(seed, target_bytes)
 
 
-def mutate_words(rng: RngState, text: str, frac: float, contiguous: bool = True) -> str:
-    """Replace a fraction of words, optionally as one contiguous block;
-    handy for planting near-duplicates with a known overlap."""
+def mutate_words(rng: RngState, text: str, frac: float) -> str:
+    """Replace a fraction of words as one contiguous block; handy for
+    planting near-duplicates with a known overlap."""
     words = text.split()
     n = len(words)
     m = max(1, int(n * frac))
-    if contiguous:
-        start = int(rng.integers(0, max(1, n - m)))
-        span = range(start, min(n, start + m))
-    else:
-        span = sorted(int(i) for i in
-                      rng.permutation(n)[:m])
-    for i in span:
+    start = int(rng.integers(0, max(1, n - m)))
+    for i in range(start, min(n, start + m)):
         words[i] = _WORDS[int(rng.integers(0, len(_WORDS)))]
     return " ".join(words)

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import io as dio
 from .errors import ConfigError, NonFiniteGradientError
-from .model import Model, ModelConfig, check_hyperparams
-from .mup import HyperParams, ParamClass, classify, hyperparams_to_dict
+from .model import (HyperParams, Model, ModelConfig, ParamClass, check_hyperparams, classify,
+                    hyperparams_to_dict)
 from .tensor import RngState
 
 

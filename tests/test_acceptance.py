@@ -22,9 +22,9 @@ from desklm import tensor as T
 from desklm.corpus import (Document, dedup, estimate_jaccard, pack,
                            sequences_per_step, signature_from_hashes)
 from desklm.evaluation import direct_average, weighted_sum
-from desklm.model import Model, ModelConfig, attention_bias, count_params
-from desklm.mup import (HyperParams, ParamClass, WidthPair,
-                        coordinate_check, transfer)
+from desklm.model import (HyperParams, Model, ModelConfig, ParamClass, attention_bias,
+                          count_params)
+from desklm.mup import WidthPair, coordinate_check, transfer
 from desklm.presets import (config_52b, config_mup_512, hyperparams_52b,
                             hyperparams_mup_512, toy_config, toy_hyperparams)
 from desklm.synth import build_corpus, make_document, mixed_fixture_text, mutate_words
@@ -234,13 +234,13 @@ def test_op_gradient_matches_finite_difference(name, shapes, op):
 def test_full_model_gradient_check():
     cfg = ModelConfig(layer_num=2, attention_heads=2, hidden_size=16,
                       ffn_hidden_size=40, vocab_size=32,
-                      context_length=16).validate()
+                      context_length=16)
     assert count_params(cfg) <= 10_000
     hp = HyperParams(vector_lr=3e-3, matrix_lr=1.2e-2, min_lr=1.2e-3,
                      vector_std=2e-2, matrix_std=8e-2,
                      input_mult=1.0, output_mult=1.0,
                      schedule_tokens=100_000, warmup_steps=2,
-                     batch_tokens=64).validate()
+                     batch_tokens=64)
     model = Model.build(cfg, hp, RngState(3))
     rng = RngState(5)
     toks = rng.integers(0, 32, size=(2, 16)).astype(np.int32)

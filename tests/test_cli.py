@@ -14,8 +14,8 @@ from desklm import io as dio
 from desklm import trainer as trainer_mod
 from desklm.corpus import (Document, load_packed, pack, save_packed,
                            write_jsonl)
-from desklm.model import Model, ModelConfig
-from desklm.mup import CoordCheckResult, HyperParams, hyperparams_to_dict
+from desklm.model import HyperParams, Model, ModelConfig, hyperparams_to_dict
+from desklm.mup import CoordCheckResult
 from desklm.presets import (reference_manifest, toy_config, toy_hyperparams)
 from desklm.synth import STYLES, build_corpus
 from desklm.tensor import RngState
@@ -704,8 +704,13 @@ def test_eval_bpb_rejects_truncated_checkpoint_by_name(ws, trained_run, tmp_path
     lambda m: m.update(multipliers=[1.0, 1.0]),
     lambda m: m["multipliers"].update(input_mult=-1.0),
     lambda m: m.update(checkpoint_version=99),
+    lambda m: m.pop("step"),
+    lambda m: m.update(step=-3),
+    lambda m: m.update(step="abc"),
+    lambda m: m.update(step=True),
 ], ids=["no-config", "no-multipliers", "unknown-config-field", "missing-config-field",
-        "list-multipliers", "negative-multiplier", "unsupported-version"])
+        "list-multipliers", "negative-multiplier", "unsupported-version", "no-step",
+        "negative-step", "string-step", "bool-step"])
 def test_eval_bpb_rejects_malformed_checkpoint_meta_by_name(ws, trained_run, tmp_path,
                                                             capsys, edit):
     arrays, meta = dio.load_arrays(trained_run / "checkpoints" / "final.ckpt")

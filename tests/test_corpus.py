@@ -9,7 +9,7 @@ from desklm.corpus import (CorpusManifest, Document, DomainSpec, dedup,
                            save_packed, sequences_per_step, shingle_hashes,
                            signature_from_hashes, write_jsonl,
                            write_removal_log)
-from desklm.errors import ConfigError, EmptyShingleError, PlanningError
+from desklm.errors import ConfigError, CorruptFileError, EmptyShingleError, PlanningError
 from desklm.presets import reference_manifest
 from desklm.synth import build_corpus, mutate_words
 from desklm.tensor import RngState
@@ -318,6 +318,14 @@ def test_manifest_domains_cannot_change_after_the_check():
         manifest.domains.append(manifest.domains[0])
 
 
+def test_manifest_is_a_value_down_to_its_languages():
+    manifest = reference_manifest()
+    assert hash(manifest) == hash(reference_manifest())
+    with pytest.raises(AttributeError):
+        manifest.domains[0].languages.append("xx")
+    assert manifest.to_dict()["domains"][0]["languages"] == ["en", "zh"]   # a JSON list
+
+
 def test_manifest_round_trip(tmp_path):
     m = reference_manifest()
     path = tmp_path / "manifest.json"
@@ -411,4 +419,13 @@ def test_load_packed_rejects_other_kinds(tmp_path):
     path = tmp_path / "other.dlm"
     dio.save_arrays(path, {"x": np.zeros(3)}, {"kind": "checkpoint"})
     with pytest.raises(ConfigError):
+        load_packed(path)
+
+
+@pytest.mark.parametrize("header", [{"context_length": 128}, {}], ids=["disagrees", "missing"])
+def test_load_packed_checks_the_header_context_length(tmp_path, header):
+    tokens, segments = pack([list(range(1, 40))], 16, pad_id=0)
+    path = tmp_path / "packed.dlm"
+    dio.save_arrays(path, {"tokens": tokens, "segments": segments}, {"kind": "packed", **header})
+    with pytest.raises(CorruptFileError, match=f"{path}.*context_length.*16"):
         load_packed(path)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from desklm import tensor as T
-from desklm.errors import ConfigError
-from desklm.model import Model, ModelConfig, Multipliers, attention_bias, count_params
-from desklm.mup import HyperParams
+from desklm.errors import ConfigError, CorruptFileError
+from desklm.model import (HyperParams, Model, ModelConfig, Multipliers, attention_bias,
+                          count_params)
 from desklm.presets import config_52b, config_mup_512, toy_config, toy_hyperparams
 from desklm.tensor import RngState
 
@@ -17,7 +17,7 @@ def small_config(**kw):
     base = dict(layer_num=2, attention_heads=2, hidden_size=16,
                 ffn_hidden_size=40, vocab_size=32, context_length=16)
     base.update(kw)
-    return ModelConfig(**base).validate()
+    return ModelConfig(**base)
 
 
 def small_hp():
@@ -25,7 +25,7 @@ def small_hp():
         vector_lr=3e-3, matrix_lr=1.2e-2, min_lr=1.2e-3,
         vector_std=2e-2, matrix_std=8e-2, input_mult=1.0, output_mult=1.0,
         schedule_tokens=100_000, warmup_steps=2, batch_tokens=64,
-    ).validate()
+    )
 
 
 def build_small(seed=0, **cfg_kw):
@@ -322,6 +322,18 @@ def test_checkpoint_files_are_deterministic(tmp_path):
     model.save(tmp_path / "a.ckpt", step=3)
     model.save(tmp_path / "b.ckpt", step=3)
     assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+
+@pytest.mark.parametrize("step", ["abc", -3, 2.5, None, True, "missing"])
+def test_load_rejects_a_step_that_is_not_a_count(tmp_path, step):
+    from desklm.io import load_arrays, save_arrays
+    path = tmp_path / "m.ckpt"
+    build_small(seed=8).save(path, step=3)
+    arrays, meta = load_arrays(path)
+    meta.pop("step") if step == "missing" else meta.update(step=step)
+    save_arrays(path, arrays, meta)
+    with pytest.raises(CorruptFileError, match=f"{path}: step"):
+        Model.load(path)
 
 
 def test_load_rejects_wrong_kind(tmp_path):

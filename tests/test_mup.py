@@ -5,8 +5,8 @@ import pytest
 
 from desklm.errors import ClassificationError, ConfigError
 from desklm.io import decode_record
-from desklm.mup import (HyperParams, ParamClass, WidthPair, classify,
-                        hyperparams_to_dict, scaled_config, transfer)
+from desklm.model import HyperParams, ParamClass, classify, hyperparams_to_dict
+from desklm.mup import WidthPair, scaled_config, transfer
 from desklm.presets import (config_52b, config_mup_512, hyperparams_52b,
                             hyperparams_mup_512, toy_config, toy_hyperparams)
 
@@ -101,17 +101,17 @@ def test_widthpair_rejects_nonpositive():
 
 def test_zero_learning_rate_is_valid():
     hp = replace(toy_hyperparams(), vector_lr=0.0, matrix_lr=0.0, min_lr=0.0)
-    hp.validate()
+    assert hp.vector_lr == hp.matrix_lr == hp.min_lr == 0.0
 
 
 def test_negative_learning_rate_rejected():
     with pytest.raises(ConfigError):
-        replace(toy_hyperparams(), matrix_lr=-1e-4).validate()
+        replace(toy_hyperparams(), matrix_lr=-1e-4)
 
 
 def test_min_lr_above_peak_rejected():
     with pytest.raises(ConfigError):
-        replace(toy_hyperparams(), min_lr=1.0).validate()
+        replace(toy_hyperparams(), min_lr=1.0)
 
 
 @pytest.mark.parametrize("name", ["vector_lr", "matrix_lr", "min_lr", "vector_std",
@@ -119,7 +119,7 @@ def test_min_lr_above_peak_rejected():
 def test_nan_hyperparameter_rejected(name):
     # NaN fails every comparison, so a check written "x < 0" lets it through
     with pytest.raises(ConfigError):
-        replace(toy_hyperparams(), **{name: float("nan")}).validate()
+        replace(toy_hyperparams(), **{name: float("nan")})
 
 
 # -- JSON round trip ---------------------------------------------------------------

@@ -4,21 +4,12 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "desklm"
 
-# (module, function) pairs allowed to import inside their body.  model and
-# trainer import mup, so mup.coordinate_check cannot import them at the top;
-# it stays in mup because callers, the benchmark's tracing among them, find
-# it as mup.coordinate_check.
-ALLOWED = {("mup", "coordinate_check")}
-
-
 def function_level_imports():
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for fn in ast.walk(tree):
             if not isinstance(fn, ast.FunctionDef):
-                continue
-            if (path.stem, fn.name) in ALLOWED:
                 continue
             for node in ast.walk(fn):
                 if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -28,6 +19,50 @@ def function_level_imports():
 
 def test_no_function_level_imports():
     assert function_level_imports() == []
+
+
+def import_graph():
+    """``{module: modules it imports}`` inside src/desklm, from every
+    ``from .x import`` and ``from . import x`` anywhere in a module.  A name
+    taken ``from .`` that is not a module comes from ``__init__``."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    graph = {}
+    for path in sorted(SRC.glob("*.py")):
+        deps = graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                deps.update([node.module] if node.module else
+                            [a.name if a.name in modules else "__init__" for a in node.names])
+    return graph
+
+
+def import_cycles(graph):
+    """Each cycle reachable in ``graph``, as the path that closes it."""
+    cycles, done = [], set()
+
+    def visit(m, path):
+        if m in path:
+            cycles.append(path[path.index(m):] + [m])
+        elif m not in done:
+            for d in sorted(graph.get(m, ())):
+                visit(d, path + [m])
+            done.add(m)
+
+    for m in sorted(graph):
+        visit(m, [])
+    return cycles
+
+
+def test_import_cycle_finder():
+    assert import_cycles({"a": {"b"}, "b": {"c"}, "c": set()}) == []
+    assert import_cycles({"a": {"b"}, "b": {"a"}}) == [["a", "b", "a"]]
+
+
+def test_modules_import_in_one_direction():
+    graph = import_graph()
+    assert {"mup", "trainer", "model", "tensor"} <= graph.keys()
+    assert "mup" not in graph["model"] | graph["trainer"]
+    assert import_cycles(graph) == []
 
 
 def deeply_nested_functions(max_depth=2):

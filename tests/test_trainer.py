@@ -8,8 +8,7 @@ import pytest
 from desklm import trainer as trainer_mod
 from desklm.corpus import pack
 from desklm.errors import ConfigError, NonFiniteGradientError
-from desklm.model import Model
-from desklm.mup import Multipliers, ParamClass
+from desklm.model import Model, Multipliers, ParamClass
 from desklm.presets import hyperparams_52b, reference_manifest, toy_config, toy_hyperparams
 from desklm.tensor import RngState
 from desklm.trainer import (DETECTOR_WINDOW, AdamState, GridEntry, Job, Schedule, StepLog,

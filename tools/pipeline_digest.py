@@ -59,7 +59,7 @@ SETUP = f"""
 import json, sys
 from pathlib import Path
 from desklm.corpus import Document, write_jsonl
-from desklm.mup import hyperparams_to_dict
+from desklm.model import hyperparams_to_dict
 from desklm.presets import reference_manifest, toy_config, toy_hyperparams
 from desklm.synth import STYLES, build_corpus
 root, seed, nbytes = Path(sys.argv[1]), int(sys.argv[2]), int(sys.argv[3])
