@@ -6,8 +6,8 @@ the sampling planner turns a domain mixture into integer token quotas and
 refuses infeasible ones; the packer lays token streams into fixed-length
 rows with document boundaries preserved for attention masking.
 """
-from desklm.corpus import PlanningError, pack, sample_plan
-from desklm.corpus import Document, dedup
+from desklm.corpus import Document, dedup, pack, sample_plan
+from desklm.errors import PlanningError
 from desklm.presets import reference_manifest
 from desklm.synth import build_corpus, mutate_words
 from desklm.tensor import RngState

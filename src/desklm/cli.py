@@ -278,13 +278,8 @@ def cmd_grid_search(args, argv):
         raise ConfigError(f"{args.grid}: a grid is a non-empty list of hyperparameter objects")
     hp_list = [dio.decode_record(HyperParams, d, f"{args.grid}: candidate {i}")
                for i, d in enumerate(grid_spec)]
-    rows = [_derive_rows_per_batch(args, hp, config) for hp in hp_list]
-    if len(set(rows)) > 1:
-        listing = ", ".join(f"candidate {i}: batch_size_tokens {hp.batch_tokens} -> {r} rows"
-                            for i, (hp, r) in enumerate(zip(hp_list, rows)))
-        raise ConfigError(f"grid candidates train different rows per batch ({listing}); "
-                          "give them one batch_size_tokens or pass --rows-per-batch")
-    jobs = [trainer_mod.Job(config, hp, args.seed, rows[0], args.steps) for hp in hp_list]
+    jobs = [trainer_mod.Job(config, hp, args.seed, _derive_rows_per_batch(args, hp, config),
+                            args.steps) for hp in hp_list]
     trainer_mod.check_grid(jobs)
 
     dirs = _start_run(args, argv, {"model_config.json": config.to_dict(),

@@ -226,6 +226,14 @@ class DomainSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "languages", tuple(self.languages))   # unchangeable once made
+        if not self.sampling_prop >= 0:
+            raise ConfigError(f"domain {self.name}: negative sampling_prop")
+        if not self.epochs > 0:
+            raise ConfigError(f"domain {self.name}: epochs must be positive")
+        if not self.size_bytes >= 0:
+            raise ConfigError(f"domain {self.name}: negative size_bytes")
+        if self.token_estimate is not None and not self.token_estimate >= 0:
+            raise ConfigError(f"domain {self.name}: negative token_estimate")
 
 
 @dataclass(frozen=True)
@@ -243,11 +251,8 @@ class CorpusManifest:
         total = sum(d.sampling_prop for d in self.domains)
         if not abs(total - 1.0) <= 1e-6:
             raise ConfigError(f"sampling proportions sum to {total!r}, expected 1")
-        for d in self.domains:
-            if not d.sampling_prop >= 0:
-                raise ConfigError(f"domain {d.name}: negative sampling_prop")
-            if not d.epochs > 0:
-                raise ConfigError(f"domain {d.name}: epochs must be positive")
+        if not self.total_token_budget > 0:
+            raise ConfigError(f"total_token_budget must be positive, got {self.total_token_budget}")
 
     def to_dict(self) -> dict:
         return asdict(self) | {"domains": [asdict(d) | {"languages": list(d.languages)}

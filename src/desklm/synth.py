@@ -16,20 +16,7 @@ _CONS = ["b", "c", "d", "f", "g", "h", "j", "k", "l", "m",
          "n", "p", "r", "s", "t", "v", "w", "z", "st", "th", "ch"]
 _VOWELS = ["a", "e", "i", "o", "u", "ai", "ea", "ou"]
 _CODAS = ["", "n", "r", "s", "t", "l", "nd", "st"]
-
-
-def _word_list(n: int = 2000) -> list[str]:
-    words = []
-    for c in _CONS:
-        for v in _VOWELS:
-            for d in _CODAS:
-                words.append(c + v + d)
-                if len(words) == n:
-                    return words
-    return words
-
-
-_WORDS = _word_list()
+_WORDS = [c + v + d for c in _CONS for v in _VOWELS for d in _CODAS]   # 1,344 words
 _COMMON = ["the", "of", "and", "to", "in", "is", "that", "for", "it", "with",
            "as", "was", "on", "are", "by", "this", "be", "from", "or", "an"]
 _IDENTIFIERS = ["value", "index", "count", "result", "items", "node", "data",

@@ -468,7 +468,10 @@ def score_run(log, status):
 def check_grid(jobs):
     """The rule for a grid's jobs: one model and data order (only ``hp`` differs), steps >= 1."""
     if len({(job.config, job.seed, job.rows_per_batch, job.steps) for job in jobs}) > 1:
-        raise ConfigError("grid jobs must share one config, seed, rows_per_batch and steps")
+        listing = ", ".join(f"candidate {i}: batch_size_tokens {job.hp.batch_tokens} -> "
+                            f"{job.rows_per_batch} rows" for i, job in enumerate(jobs))
+        raise ConfigError(f"grid jobs must share one config, seed, rows_per_batch and steps "
+                          f"({listing})")
     if jobs and jobs[0].steps < 1:
         raise ConfigError(f"steps must be >= 1 for a grid search, got {jobs[0].steps}")
 

@@ -183,6 +183,23 @@ def test_corpus_plan_infeasible_is_usage_error(ws, tmp_path, capsys):
     assert "Profession-Math" in capsys.readouterr().err
 
 
+def test_corpus_plan_refuses_a_domain_record_by_its_index(tmp_path, capsys):
+    manifest = reference_manifest().to_dict()
+    manifest["domains"][3]["size_bytes"] = -1
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(manifest))
+    assert run(["corpus-plan", "--manifest", str(path)]) == 2
+    assert f"{path}: domains[3]: domain WorldKnowledge: negative size_bytes" in \
+        capsys.readouterr().err
+
+
+def test_corpus_plan_refuses_a_manifest_budget_even_with_an_override(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(reference_manifest().to_dict() | {"total_token_budget": 0}))
+    assert run(["corpus-plan", "--manifest", str(path), "--total-tokens", "100"]) == 2
+    assert "total_token_budget must be positive" in capsys.readouterr().err
+
+
 def test_corpus_pack_uses_tokenizer_pad(ws, tmp_path, capsys):
     out = tmp_path / "packed.dlm"
     code = run(["corpus-pack", "--corpus", str(ws / "corpus.jsonl"),

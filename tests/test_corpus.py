@@ -1,4 +1,6 @@
 """Corpus pipeline: shingles, MinHash dedup, sampling plans, packing."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -310,6 +312,23 @@ def test_manifest_validation():
     with pytest.raises(ConfigError):
         CorpusManifest(domains=[spec("a", 1.0, epochs=0.0)],
                        total_token_budget=1)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("size_bytes", -7, "domain a: negative size_bytes"),
+    ("token_estimate", -1, "domain a: negative token_estimate"),
+    ("epochs", 0.0, "domain a: epochs must be positive"),
+    ("sampling_prop", -0.1, "domain a: negative sampling_prop"),
+])
+def test_domain_spec_checks_its_own_fields(field, value, message):
+    with pytest.raises(ConfigError, match=message):
+        replace(spec("a", 1.0), **{field: value})
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_manifest_refuses_a_budget_that_is_not_positive(budget):
+    with pytest.raises(ConfigError, match="total_token_budget must be positive"):
+        replace(reference_manifest(), total_token_budget=budget)
 
 
 def test_manifest_domains_cannot_change_after_the_check():

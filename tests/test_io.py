@@ -118,7 +118,12 @@ def _with_header(good, edit):
     (lambda h: h["arrays"][0].pop("dtype"), "malformed array entry"),
     (lambda h: h.pop("arrays"), "unreadable header"),
     (lambda h: h.update(meta=[1]), "meta is a list"),
-], ids=["nbytes", "offset", "shape", "no-dtype", "no-arrays", "list-meta"])
+    (lambda h: h.update(format_version=2), "unsupported format_version 2"),
+    (lambda h: h.update(arrays={}), "arrays is a dict"),
+    (lambda h: h["arrays"][0].update(dtype="<f4"), "unsupported dtype '<f4'"),
+    (lambda h: h["arrays"][0].update(shape=[-2, -3]), r"bad shape \[-2, -3\]"),
+], ids=["nbytes", "offset", "shape", "no-dtype", "no-arrays", "list-meta", "version",
+        "object-arrays", "f4-dtype", "negative-shape"])
 def test_inconsistent_header_is_rejected_by_name(tmp_path, edit, why):
     path, good = _small_container(tmp_path)
     path.write_bytes(_with_header(good, edit))

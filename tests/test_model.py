@@ -294,6 +294,20 @@ def test_forward_records_rms_metrics():
     assert stats["pre_logit_rms"] > 0
 
 
+@pytest.mark.parametrize("call, tokens, segments, why", [
+    ("forward", np.arange(4), None, r"tokens must be \[B, T\]"),
+    ("forward", np.zeros((1, 17), dtype=np.int32), None, "sequence length 17 exceeds context 16"),
+    ("forward", np.array([[1, 32]]), None, "out of vocabulary"),
+    ("forward", np.array([[1, -1]]), None, "out of vocabulary"),
+    ("forward", np.ones((1, 4), dtype=np.int32), np.ones((1, 3), dtype=np.int32),
+     "segments shape"),
+    ("loss", np.ones((2, 1), dtype=np.int32), None, "at least 2 tokens"),
+], ids=["1d", "too-long", "id-at-vocab", "negative-id", "segment-shape", "one-token-rows"])
+def test_forward_and_loss_refuse_inputs_that_do_not_fit(call, tokens, segments, why):
+    with pytest.raises(ConfigError, match=why):
+        getattr(build_small(), call)(tokens, segments)
+
+
 def test_build_rejects_mismatched_rope_theta():
     with pytest.raises(ConfigError, match="10000.0 differs .* 500000.0"):
         build_small(rope_theta=500_000.0)

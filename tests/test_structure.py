@@ -65,6 +65,55 @@ def test_modules_import_in_one_direction():
     assert import_cycles(graph) == []
 
 
+ROOT = SRC.parents[1]
+
+
+def top_level_names(module):
+    """Names ``src/desklm/<module>.py`` binds at top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse((SRC / f"{module}.py").read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def imports_away_from_home():
+    """Each ``from desklm.<m> import <n>`` in the repo's Python files (and
+    ``from .<m> import <n>`` in src/desklm) whose module <m> does not bind <n>
+    itself.  ``from desklm import <n>`` must name a module or ``__version__``."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    found = []
+    for top in ("src", "tests", "demos", "tools", "bench"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                if node.level == 0 and (node.module or "").split(".")[0] == "desklm":
+                    module = node.module.removeprefix("desklm").lstrip(".") or "__init__"
+                elif node.level == 1 and path.is_relative_to(SRC):
+                    module = node.module or "__init__"
+                else:
+                    continue
+                home = top_level_names(module)
+                found += [f"{path.relative_to(ROOT)}:{node.lineno} {a.name} from {module}"
+                          for a in node.names if a.name not in home
+                          and not (module == "__init__" and a.name in modules)]
+    return found
+
+
+def test_every_name_is_imported_from_its_home():
+    assert imports_away_from_home() == []
+
+
+def test_the_package_reexports_nothing():
+    body = ast.parse((SRC / "__init__.py").read_text()).body
+    assert not [n.lineno for n in body if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert top_level_names("__init__") == {"__version__"}
+
+
 def deeply_nested_functions(max_depth=2):
     """Functions defined inside a function that is itself nested."""
     found = []
