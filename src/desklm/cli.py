@@ -44,7 +44,7 @@ EXIT_ABORT = 3
 
 def _emit(args, payload: dict, text_lines):
     """Print either canonical JSON (--json) or human-readable lines."""
-    if getattr(args, "json", False):
+    if args.json:
         print(dio.canonical_json(payload))
     else:
         for line in text_lines:
@@ -74,7 +74,7 @@ def _load_run_inputs(args):
     return config, (tokens, segments)
 
 
-def _start_run(args, argv, snapshots: dict) -> dict:
+def _start_run(args, snapshots: dict) -> dict:
     """Make the run directory ``args.out``, write config/invocation.json and
     each ``{file name: object}`` of ``snapshots`` into config/, and return the
     subdirectory paths by name.  Call it once every input has been checked."""
@@ -82,8 +82,8 @@ def _start_run(args, argv, snapshots: dict) -> dict:
     dirs = {name: root / name for name in ("config", "logs", "checkpoints", "reports")}
     for p in dirs.values():
         p.mkdir(parents=True, exist_ok=True)
-    resolved = {k: v for k, v in vars(args).items() if k != "func"}
-    snapshots = {"invocation.json": {"argv": list(argv), "resolved": resolved}, **snapshots}
+    resolved = {k: v for k, v in vars(args).items() if k not in ("func", "argv")}
+    snapshots = {"invocation.json": {"argv": args.argv, "resolved": resolved}, **snapshots}
     for name, obj in snapshots.items():
         dio.write_json(dirs["config"] / name, obj)
     return dirs
@@ -223,7 +223,7 @@ def cmd_corpus_pack(args):
 
 # -- training commands -------------------------------------------------------
 
-def cmd_train(args, argv):
+def cmd_train(args):
     config, packed = _load_run_inputs(args)
     hp = dio.decode_record(HyperParams, dio.read_json(args.hyperparams), args.hyperparams)
     rows_per_batch = _derive_rows_per_batch(args, hp, config)
@@ -231,8 +231,8 @@ def cmd_train(args, argv):
     trainer_mod.check_run(args.steps, args.recovery_window, args.checkpoint_every,
                           Path(args.out) / "checkpoints")
 
-    dirs = _start_run(args, argv, {"model_config.json": config.to_dict(),
-                                   "hyperparams.json": hyperparams_to_dict(hp)})
+    dirs = _start_run(args, {"model_config.json": config.to_dict(),
+                             "hyperparams.json": hyperparams_to_dict(hp)})
     model, schedule, batches = job.build(packed)
     if args.save_initial:
         model.save(dirs["checkpoints"] / "initial.ckpt", step=0)
@@ -271,7 +271,7 @@ def cmd_train(args, argv):
     return EXIT_OK
 
 
-def cmd_grid_search(args, argv):
+def cmd_grid_search(args):
     config, packed = _load_run_inputs(args)
     grid_spec = dio.read_json(args.grid)
     if not isinstance(grid_spec, list) or not grid_spec:
@@ -282,8 +282,7 @@ def cmd_grid_search(args, argv):
                             args.steps) for hp in hp_list]
     trainer_mod.check_grid(jobs)
 
-    dirs = _start_run(args, argv, {"model_config.json": config.to_dict(),
-                                   "grid.json": grid_spec})
+    dirs = _start_run(args, {"model_config.json": config.to_dict(), "grid.json": grid_spec})
     entries = trainer_mod.run_grid(jobs, packed, out_dir=dirs["logs"])
     report = trainer_mod.grid_report(entries)
     dio.write_json(dirs["reports"] / "grid_report.json", report)
@@ -386,9 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name, func, help_, needs_argv=False):
+    def add(name, func, help_):
         sp = sub.add_parser(name, help=help_, description=help_)
-        sp.set_defaults(func=func, needs_argv=needs_argv)
+        sp.set_defaults(func=func)
         return sp
 
     sp = add("tok-train", cmd_tok_train, "train a byte-level BPE tokenizer")
@@ -434,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True, help="packed token file")
     sp.add_argument("--json", action="store_true")
 
-    sp = add("train", cmd_train, "monitored training run", needs_argv=True)
+    sp = add("train", cmd_train, "monitored training run")
     sp.add_argument("--config", required=True, help="model config JSON")
     sp.add_argument("--hyperparams", required=True, help="hyperparameter JSON")
     sp.add_argument("--data", required=True, help="packed token file")
@@ -452,8 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     spikes.add_argument("--keep-going", action="store_true",
                         help="log sustained spikes but do not stop")
 
-    sp = add("grid-search", cmd_grid_search, "rank hyperparameter candidates",
-             needs_argv=True)
+    sp = add("grid-search", cmd_grid_search, "rank hyperparameter candidates")
     sp.add_argument("--config", required=True)
     sp.add_argument("--grid", required=True,
                     help="JSON list of hyperparameter objects")
@@ -496,8 +494,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.argv = argv
     try:
-        return args.func(args, argv) if args.needs_argv else args.func(args)
+        return args.func(args)
     except (ValueError, OSError) as e:
         # Covers the library's error types (all ValueError subclasses),
         # malformed JSON, and missing/unreadable files.

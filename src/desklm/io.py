@@ -125,7 +125,8 @@ def load_arrays(path) -> tuple[dict, dict]:
     Returns ``(arrays, meta)`` with arrays in file order.  Raises
     :class:`CorruptFileError`, naming ``path``, unless the header fits the
     file and the arrays it lists fill the data section exactly, each in
-    header order with nbytes = prod(shape) * itemsize.
+    header order under its own name, with nbytes = prod(shape) * itemsize
+    (each an int, as the format version is).
     """
     raw = Path(path).read_bytes()
     if raw[:4] != _MAGIC:
@@ -146,13 +147,13 @@ def load_arrays(path) -> tuple[dict, dict]:
             raise TypeError(f"meta is a {type(meta).__name__}, not an object")
     except (ValueError, TypeError, KeyError) as e:
         raise CorruptFileError(f"{path}: unreadable header ({e!r})") from e
-    if version != 1:
+    if type(version) is not int or version != 1:
         raise CorruptFileError(f"{path}: unsupported format_version {version!r}")
     data = memoryview(raw)[data_start:]
     arrays = {}
     end = 0
     for ent in entries:
-        arrays[ent["name"]] = _read_entry(path, data, ent, end)
+        arrays[ent["name"]] = _read_entry(path, data, ent, end, arrays)
         end += ent["nbytes"]
     if end != len(data):
         raise CorruptFileError(f"{path}: {len(data) - end} trailing bytes after the "
@@ -160,19 +161,23 @@ def load_arrays(path) -> tuple[dict, dict]:
     return arrays, meta
 
 
-def _read_entry(path, data, ent: dict, offset: int) -> np.ndarray:
-    """One array of the data section, which must start at ``offset``."""
+def _read_entry(path, data, ent: dict, offset: int, earlier: dict) -> np.ndarray:
+    """One array of the data section, which must start at ``offset`` and
+    have a name that no array of ``earlier`` has."""
     try:
-        name, dtype, shape, nbytes = ent["name"], ent["dtype"], ent["shape"], ent["nbytes"]
+        name, dtype, shape, nbytes, start = (
+            ent[k] for k in ("name", "dtype", "shape", "nbytes", "offset"))
+        if name in earlier:
+            raise CorruptFileError(f"{path}: array {name!r} is listed twice")
         if dtype not in _DTYPES:
             raise CorruptFileError(f"{path}: unsupported dtype {dtype!r} for array {name!r}")
-        if not all(isinstance(n, int) and n >= 0 for n in shape):
+        if not all(type(n) is int and n >= 0 for n in shape):
             raise CorruptFileError(f"{path}: array {name!r} has a bad shape {shape!r}")
         count = math.prod(shape)
         want = count * np.dtype(dtype).itemsize
-        if nbytes != want or ent["offset"] != offset:
+        if (nbytes, start) != (want, offset) or type(nbytes) is not int or type(start) is not int:
             raise CorruptFileError(
-                f"{path}: array {name!r} claims {nbytes!r} bytes at offset {ent['offset']!r}; "
+                f"{path}: array {name!r} claims {nbytes!r} bytes at offset {start!r}; "
                 f"shape {shape} needs {want} bytes at offset {offset}")
     except (TypeError, KeyError) as e:
         raise CorruptFileError(f"{path}: malformed array entry {ent!r}") from e

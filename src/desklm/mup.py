@@ -34,10 +34,12 @@ class WidthPair:
     base: int
     target: int
 
-    @property
-    def ratio(self) -> float:
+    def __post_init__(self):
         if self.base <= 0 or self.target <= 0:
             raise ConfigError(f"widths must be positive, got {self.base} -> {self.target}")
+
+    @property
+    def ratio(self) -> float:
         return self.target / self.base
 
 

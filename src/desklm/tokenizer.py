@@ -2,7 +2,8 @@
 
 The base alphabet is always the 256 byte values (ids 0..255), so any byte
 sequence round-trips losslessly, including invalid UTF-8.  Optional special
-tokens sit right after the base alphabet; learned merge tokens follow.
+tokens sit right after the base alphabet; learned merge tokens follow.  A
+model is its ordered specials and merges, and its file stores only those.
 
 Training greedily merges the highest-frequency adjacent pair.  Ties break
 deterministically: lexicographically smallest left token bytes, then right.
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from . import io as dio
 
 _CHUNK_RE = re.compile(r"\s+|\S+")
-TOKENIZER_VERSION = 1
+TOKENIZER_VERSION = 2
 
 
 def _to_bytes(text) -> bytes:
@@ -48,38 +49,24 @@ def _chunks(data: bytes) -> list[bytes]:
 
 
 class TokenizerModel:
-    """A trained (or hand-built) tokenizer: vocab table plus merge rules."""
+    """A tokenizer as training makes it: merge rules and special names in id
+    order (``specials`` maps each to 256 plus its position), from which the
+    vocabulary is derived: 256 bytes, the names in UTF-8, then each merge."""
 
-    def __init__(self, vocab: list[bytes], merges: list[tuple[int, int]],
-                 specials: dict[str, int], word_split: bool = True):
-        self.vocab = list(vocab)
+    def __init__(self, merges: list[tuple[int, int]], specials: list[str],
+                 word_split: bool = True):
         self.merges = [tuple(m) for m in merges]
-        self.specials = dict(specials)
+        self.specials = {name: 256 + j for j, name in enumerate(specials)}
+        if len(self.specials) != len(specials):
+            raise ValueError(f"duplicate special token names in {list(specials)}")
         self.word_split = bool(word_split)
         self.ranks = {pair: i for i, pair in enumerate(self.merges)}
         self._cache: dict[bytes, list[int]] = {}
-        self._validate()
-
-    def _validate(self):
-        n_special = len(self.specials)
-        expect = 256 + n_special + len(self.merges)
-        if len(self.vocab) != expect:
-            raise ValueError(
-                f"vocab has {len(self.vocab)} entries, expected {expect} "
-                f"(256 bytes + {n_special} specials + {len(self.merges)} merges)")
-        for i in range(256):
-            if self.vocab[i] != bytes([i]):
-                raise ValueError(f"base alphabet corrupted at id {i}")
-        special_ids = sorted(self.specials.values())
-        if special_ids != list(range(256, 256 + n_special)):
-            raise ValueError("special token ids must be 256..256+n_specials-1")
-        merge_base = 256 + n_special
+        self.vocab = [bytes([i]) for i in range(256)] + [n.encode("utf-8") for n in self.specials]
         for k, (l, r) in enumerate(self.merges):
-            new_id = merge_base + k
-            if not (0 <= l < new_id and 0 <= r < new_id):
+            if not (0 <= l < len(self.vocab) and 0 <= r < len(self.vocab)):
                 raise ValueError(f"merge {k} references undefined token ids ({l}, {r})")
-            if self.vocab[new_id] != self.vocab[l] + self.vocab[r]:
-                raise ValueError(f"merge {k} bytes do not match its vocab entry")
+            self.vocab.append(self.vocab[l] + self.vocab[r])
 
     @property
     def vocab_size(self) -> int:
@@ -159,13 +146,8 @@ class TokenizerModel:
     # -- persistence -------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "version": TOKENIZER_VERSION,
-            "word_split": self.word_split,
-            "specials": self.specials,
-            "vocab": {str(i): b.hex() for i, b in enumerate(self.vocab)},
-            "merges": [list(m) for m in self.merges],
-        }
+        return {"version": TOKENIZER_VERSION, "word_split": self.word_split,
+                "specials": list(self.specials), "merges": [list(m) for m in self.merges]}
 
     def save(self, path):
         with dio.atomic_open(path) as f:
@@ -174,7 +156,10 @@ class TokenizerModel:
 
     @classmethod
     def load(cls, path) -> "TokenizerModel":
-        return dio.decode_record(_SavedTokenizer, dio.read_json(path), path)
+        obj = dio.read_json(path)   # version first: an older file has other fields
+        if isinstance(obj, dict) and obj.get("version", TOKENIZER_VERSION) != TOKENIZER_VERSION:
+            raise ValueError(f"{path}: unsupported tokenizer version {obj['version']!r}")
+        return dio.decode_record(_SavedTokenizer, obj, path)
 
 
 @dataclass
@@ -182,19 +167,12 @@ class _SavedTokenizer:
     """A tokenizer file, as :meth:`TokenizerModel.to_dict` writes it."""
     version: int
     word_split: bool
-    specials: dict[str, int]
-    vocab: dict[str, str]
+    specials: list[str]
     merges: list[list[int]]
 
     def validate(self) -> TokenizerModel:
         """The model the record describes, which ``decode_record`` returns."""
-        if self.version != TOKENIZER_VERSION:
-            raise ValueError(f"unsupported tokenizer version {self.version}")
-        hexed = [self.vocab.get(str(i)) for i in range(len(self.vocab))]
-        if None in hexed:
-            raise ValueError(f"vocab ids are not dense: missing id {hexed.index(None)}")
-        return TokenizerModel([bytes.fromhex(h) for h in hexed], self.merges, self.specials,
-                              self.word_split)
+        return TokenizerModel(self.merges, self.specials, self.word_split)
 
 
 def _initial_words(corpus, word_split: bool) -> Counter:
@@ -254,17 +232,10 @@ def train_bbpe(corpus, vocab_size: int, specials=(), word_split: bool = True) ->
     sequence is a prefix).
     """
     specials = list(specials)
-    if vocab_size < 256 + len(specials):
+    vocab = TokenizerModel([], specials).vocab
+    if vocab_size < len(vocab):
         raise ValueError(
             f"vocab_size {vocab_size} cannot hold 256 bytes + {len(specials)} specials")
-    if len(set(specials)) != len(specials):
-        raise ValueError("duplicate special token names")
-
-    vocab = [bytes([i]) for i in range(256)]
-    special_map = {}
-    for j, name in enumerate(specials):
-        special_map[name] = 256 + j
-        vocab.append(name.encode("utf-8"))
 
     word_counts = _initial_words(corpus, word_split)
     words, wfreq = [list(w) for w in word_counts], list(word_counts.values())
@@ -311,7 +282,7 @@ def train_bbpe(corpus, vocab_size: int, specials=(), word_split: bool = True) ->
         for p in born:
             heapq.heappush(heap, key(p))
 
-    return TokenizerModel(vocab, merges, special_map, word_split=word_split)
+    return TokenizerModel(merges, specials, word_split=word_split)
 
 
 # -- compression metrics ----------------------------------------------------

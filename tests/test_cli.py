@@ -234,6 +234,9 @@ def test_train_run_directory_layout(ws, tmp_path, capsys):
     assert summary["tokens_seen"] == 8 * 4 * 16
     invocation = json.loads((out / "config" / "invocation.json").read_text())
     assert invocation["argv"] == argv
+    assert set(invocation["resolved"]) == {   # the parsed flags, nothing used for dispatch
+        "command", "config", "hyperparams", "data", "steps", "seed", "out", "rows_per_batch",
+        "checkpoint_every", "save_initial", "recovery_window", "no_spike_detection", "keep_going"}
     saved_config = json.loads((out / "config" / "model_config.json").read_text())
     assert saved_config["hidden_size"] == 32
     log = trainer_mod.read_runlog(out / "logs" / "run_log.csv")
@@ -882,9 +885,12 @@ def test_malformed_weights_are_rejected_by_name(ws, untrained_ckpt, tmp_path, ca
 def test_malformed_tokenizer_is_rejected_by_name(ws, tmp_path, capsys):
     path, out = tmp_path / "tok.json", tmp_path / "packed.dlm"
     tok = json.loads((ws / "tok.json").read_text())
+    vocab = TokenizerModel.load(ws / "tok.json").vocab
+    version_1 = {**tok, "version": 1, "specials": {"<pad>": 256},
+                 "vocab": {str(i): b.hex() for i, b in enumerate(vocab)}}
     variants = list(object_mutations(tok)) + [
-        ("vocab id 0 an int", {**tok, "vocab": {**tok["vocab"], "0": 5}}),
-        ("vocab id 0 not hex", {**tok, "vocab": {**tok["vocab"], "0": "zz"}}),
+        ("a v1 file with its vocab", version_1),
+        ("merge 0 of a later id", {**tok, "merges": [[97, 400]] + tok["merges"][1:]}),
         ("merge 0 a triple", {**tok, "merges": [[97, 98, 99]] + tok["merges"][1:]}),
         ("merge 0 of strings", {**tok, "merges": [["a", "b"]] + tok["merges"][1:]})]
     argv = ["corpus-pack", "--corpus", str(ws / "corpus.jsonl"), "--tokenizer", str(path),
@@ -921,7 +927,13 @@ def test_malformed_packed_file_is_rejected_by_name(ws, tmp_path, capsys):
         bad = tokens.copy()
         bad[:, 3] = bad_id                  # in every row
         variants[f"{label} in every row"] = {"tokens": bad, "segments": segments}
+    n = int.from_bytes(good[4:12], "little")
+    header = json.loads(good[12:12 + n])
+    header["arrays"][0]["nbytes"] = float(header["arrays"][0]["nbytes"])
+    float_nbytes = json.dumps(header).encode()
     cases = [("truncated", good[:len(good) // 2]),
+             ("float nbytes", good[:4] + len(float_nbytes).to_bytes(8, "little") + float_nbytes
+              + good[12 + n:]),
              ("kind checkpoint", dlm_bytes(tmp_path, {"tokens": tokens, "segments": segments},
                                            {**meta, "kind": "checkpoint"}))] + [
         (label, dlm_bytes(tmp_path, arrays, meta)) for label, arrays in variants.items()]

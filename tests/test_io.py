@@ -122,8 +122,13 @@ def _with_header(good, edit):
     (lambda h: h.update(arrays={}), "arrays is a dict"),
     (lambda h: h["arrays"][0].update(dtype="<f4"), "unsupported dtype '<f4'"),
     (lambda h: h["arrays"][0].update(shape=[-2, -3]), r"bad shape \[-2, -3\]"),
+    (lambda h: h["arrays"][0].update(nbytes=48.0), "claims 48.0 bytes"),
+    (lambda h: h["arrays"][0].update(shape=[True, 3]), r"bad shape \[True, 3\]"),
+    (lambda h: h.update(format_version=True), "unsupported format_version True"),
+    (lambda h: h["arrays"][1].update(name="w"), "array 'w' is listed twice"),
 ], ids=["nbytes", "offset", "shape", "no-dtype", "no-arrays", "list-meta", "version",
-        "object-arrays", "f4-dtype", "negative-shape"])
+        "object-arrays", "f4-dtype", "negative-shape", "float-nbytes", "bool-shape",
+        "bool-version", "repeated-name"])
 def test_inconsistent_header_is_rejected_by_name(tmp_path, edit, why):
     path, good = _small_container(tmp_path)
     path.write_bytes(_with_header(good, edit))
@@ -197,10 +202,10 @@ WRITERS = {
 
 
 def _broken_tokenizer():
-    """A tokenizer whose specials, serialised after its merges, hold a value
+    """A tokenizer whose specials, serialised after its merges, hold a name
     JSON cannot encode, so its save fails part-way through the body."""
     tok = train_bbpe(["some text, some more text"], 260, specials=("<pad>",))
-    tok.specials["<pad>"] = object()
+    tok.specials[object()] = 257
     return tok
 
 

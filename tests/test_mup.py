@@ -93,8 +93,9 @@ def test_transfer_downscales_too():
 
 
 def test_widthpair_rejects_nonpositive():
-    with pytest.raises(ConfigError):
-        _ = WidthPair(0, 64).ratio
+    for base, target in [(0, 64), (64, -1), (0, 0)]:   # when made, before .ratio is read
+        with pytest.raises(ConfigError, match="widths must be positive"):
+            WidthPair(base, target)
 
 
 # -- validation ------------------------------------------------------------------

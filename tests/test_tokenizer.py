@@ -13,12 +13,7 @@ from oracles import reference_bbpe, reference_encode
 
 
 def byte_only_model(specials=(), word_split=True) -> TokenizerModel:
-    vocab = [bytes([i]) for i in range(256)]
-    smap = {}
-    for j, name in enumerate(specials):
-        smap[name] = 256 + j
-        vocab.append(name.encode())
-    return TokenizerModel(vocab, [], smap, word_split=word_split)
+    return TokenizerModel([], specials, word_split=word_split)
 
 
 def small_trained(word_split=True, vocab_size=320) -> TokenizerModel:
@@ -100,11 +95,8 @@ def test_heap_encode_matches_global_merge_replay_on_long_cjk_chunks(style):
 def test_heap_encode_overlapping_pairs(data, word_split):
     # merges (a, a), (aa, a) and (aa, aa) overlap on runs of one byte: the leftmost
     # occurrence of the lowest rank must win, exactly as in the replay
-    vocab = [bytes([i]) for i in range(256)]
-    merges = [(97, 97), (256, 97), (256, 256), (257, 98)]
-    for l, r in merges:
-        vocab.append(vocab[l] + vocab[r])
-    model = TokenizerModel(vocab, merges, {}, word_split=word_split)
+    model = TokenizerModel([(97, 97), (256, 97), (256, 256), (257, 98)], [],
+                           word_split=word_split)
     assert model.encode(data) == reference_encode(model, data)
     assert model.decode(model.encode(data)) == data
 
@@ -211,12 +203,41 @@ def test_save_load_round_trip(tmp_path):
     assert back.encode("round trip") == model.encode("round trip")
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_saved_model_loads_back_equal(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    specials = ["<pad>", "<eos>", "<sep>"][:int(rng.integers(0, 4))]
+    word_split = bool(rng.integers(0, 2))
+    docs = [d.text for d in build_corpus(seed, 6_000)]
+    model = train_bbpe(docs, int(rng.integers(260, 601)), specials, word_split=word_split)
+    path = tmp_path / "tok.json"
+    model.save(path)
+    back = TokenizerModel.load(path)
+    assert (back.vocab, back.merges, back.specials, back.word_split) == (
+        model.vocab, model.merges, model.specials, model.word_split)
+    assert back.to_dict() == model.to_dict()
+    for held_out in build_corpus(seed + 100, 2_000):
+        assert back.encode(held_out.text) == model.encode(held_out.text)
+
+
+def test_saved_file_holds_only_specials_and_merges(tmp_path):
+    model = train_bbpe(["ab ab abc"], 300, specials=("<pad>", "<eos>"))
+    model.save(tmp_path / "tok.json")
+    saved = json.loads((tmp_path / "tok.json").read_text())
+    assert saved == {"version": 2, "word_split": True, "specials": ["<pad>", "<eos>"],
+                     "merges": [[97, 98], [258, 99]]}
+    assert TokenizerModel([], ["<pad>", "<eos>"]).specials == {"<pad>": 256, "<eos>": 257}
+    assert TokenizerModel([], ["<eos>", "<pad>"]).specials == {"<eos>": 256, "<pad>": 257}
+
+
 def test_from_dict_rejects_bad_payloads(tmp_path):
     model = byte_only_model(specials=("<pad>",))
     good = model.to_dict()
-    sparse = {**good, "vocab": {k: v for k, v in good["vocab"].items() if k != "7"}}
+    version_1 = {**good, "version": 1, "specials": {"<pad>": 256},
+                 "vocab": {str(i): b.hex() for i, b in enumerate(model.vocab)}}
     path = tmp_path / "tok.json"
-    for bad, why in [({**good, "version": 99}, "version 99"), (sparse, "missing id 7"),
+    for bad, why in [({**good, "version": 99}, "version 99"), (version_1, "version 1"),
+                     ({**good, "specials": ["<pad>", "<pad>"]}, "duplicate special"),
                      ({**good, "merges": {}}, "merges: expected list"),
                      ({k: v for k, v in good.items() if k != "word_split"}, "word_split")]:
         path.write_text(json.dumps(bad))
@@ -225,15 +246,14 @@ def test_from_dict_rejects_bad_payloads(tmp_path):
 
 
 def test_validate_rejects_inconsistent_models():
-    vocab = [bytes([i]) for i in range(256)]
-    with pytest.raises(ValueError):   # merge bytes disagree with vocab entry
-        TokenizerModel(vocab + [b"xy"], [(97, 98)], {})
-    with pytest.raises(ValueError):   # special ids must be dense from 256
-        TokenizerModel(vocab + [b"<pad>"], [], {"<pad>": 300})
-    with pytest.raises(ValueError):   # corrupted base alphabet
-        TokenizerModel([b"zz"] + vocab[1:], [], {})
-    with pytest.raises(ValueError):   # merge referencing a later id
-        TokenizerModel(vocab + [b"ab"], [(97, 500)], {})
+    with pytest.raises(ValueError, match="duplicate special"):
+        TokenizerModel([], ["<pad>", "<eos>", "<pad>"])
+    with pytest.raises(ValueError, match="merge 0"):     # a merge of its own id
+        TokenizerModel([(97, 256)], [])
+    with pytest.raises(ValueError, match="merge 1"):     # a merge of a later id
+        TokenizerModel([(97, 98), (97, 500)], ["<pad>"])
+    with pytest.raises(ValueError, match="merge 0"):     # a negative id
+        TokenizerModel([(-1, 98)], [])
 
 
 # -- compression metrics ----------------------------------------------------------
@@ -245,11 +265,8 @@ def test_merge_free_ratio_is_exactly_one():
 
 
 def test_hand_built_model_hits_quarter_ratio():
-    vocab = [bytes([i]) for i in range(256)]
-    merges = [(116, 104), (256, 101), (257, 32)]   # th, the, "the "
-    for l, r in merges:
-        vocab.append(vocab[l] + vocab[r])
-    model = TokenizerModel(vocab, merges, {}, word_split=False)
+    model = TokenizerModel([(116, 104), (256, 101), (257, 32)], [],   # th, the, "the "
+                           word_split=False)
     assert compression_ratio(model, ["the the the the "]) == 0.25
 
 
@@ -259,12 +276,9 @@ def test_compression_ratio_needs_bytes():
 
 
 def test_weighted_compression_math_and_validation(tmp_path, capsys):
-    vocab = [bytes([i]) for i in range(256)]
-    merges = [(116, 104), (256, 101), (257, 32)]   # th, the, "the "
-    for l, r in merges:
-        vocab.append(vocab[l] + vocab[r])
     tok = tmp_path / "tok.json"
-    TokenizerModel(vocab, merges, {}, word_split=False).save(tok)
+    TokenizerModel([(116, 104), (256, 101), (257, 32)], [],   # th, the, "the "
+                   word_split=False).save(tok)
     corpus = tmp_path / "corpus.jsonl"             # ratios: a 0.5, b 0.25
     write_jsonl(corpus, [Document("d0", "a", "th"), Document("d1", "b", "the the the the ")])
 
