@@ -16,9 +16,20 @@ and a consumed graph refuses a second ``backward``.
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 from .errors import ShapeError
+
+# Keep the arrays of a few MB that each step frees in the heap for the next
+# step, not handed back to the kernel and faulted in again as zeroed pages.
+# CDLL(None) is this process; ctypes.util.find_library would start a child.
+try:
+    ctypes.CDLL(None).mallopt(-3, 32 << 20)     # M_MMAP_THRESHOLD, 32 MiB
+    ctypes.CDLL(None).mallopt(-1, 128 << 20)    # M_TRIM_THRESHOLD, 128 MiB
+except (AttributeError, OSError, TypeError):    # no glibc mallopt: keep the defaults
+    pass
 
 
 class RngState:

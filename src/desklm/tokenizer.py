@@ -51,7 +51,8 @@ def _chunks(data: bytes) -> list[bytes]:
 class TokenizerModel:
     """A tokenizer as training makes it: merge rules and special names in id
     order (``specials`` maps each to 256 plus its position), from which the
-    vocabulary is derived: 256 bytes, the names in UTF-8, then each merge."""
+    vocabulary is derived: 256 bytes, the names in UTF-8, then each merge.
+    Each merge joins two earlier ids, and no pair is merged twice."""
 
     def __init__(self, merges: list[tuple[int, int]], specials: list[str],
                  word_split: bool = True):
@@ -60,12 +61,15 @@ class TokenizerModel:
         if len(self.specials) != len(specials):
             raise ValueError(f"duplicate special token names in {list(specials)}")
         self.word_split = bool(word_split)
-        self.ranks = {pair: i for i, pair in enumerate(self.merges)}
+        self.ranks: dict[tuple, int] = {}
         self._cache: dict[bytes, list[int]] = {}
         self.vocab = [bytes([i]) for i in range(256)] + [n.encode("utf-8") for n in self.specials]
         for k, (l, r) in enumerate(self.merges):
             if not (0 <= l < len(self.vocab) and 0 <= r < len(self.vocab)):
                 raise ValueError(f"merge {k} references undefined token ids ({l}, {r})")
+            if (l, r) in self.ranks:    # encode would apply only one of the two
+                raise ValueError(f"merge {k} repeats merge {self.ranks[l, r]}, ({l}, {r})")
+            self.ranks[l, r] = k
             self.vocab.append(self.vocab[l] + self.vocab[r])
 
     @property

@@ -892,7 +892,8 @@ def test_malformed_tokenizer_is_rejected_by_name(ws, tmp_path, capsys):
         ("a v1 file with its vocab", version_1),
         ("merge 0 of a later id", {**tok, "merges": [[97, 400]] + tok["merges"][1:]}),
         ("merge 0 a triple", {**tok, "merges": [[97, 98, 99]] + tok["merges"][1:]}),
-        ("merge 0 of strings", {**tok, "merges": [["a", "b"]] + tok["merges"][1:]})]
+        ("merge 0 of strings", {**tok, "merges": [["a", "b"]] + tok["merges"][1:]}),
+        ("merge 1 repeating merge 0", {**tok, "merges": tok["merges"][:1] * 2 + tok["merges"][2:]})]
     argv = ["corpus-pack", "--corpus", str(ws / "corpus.jsonl"), "--tokenizer", str(path),
             "--context-length", "16", "--out", str(out)]
     assert not_rejected(capsys, argv, path, out, json_cases(tok, variants)) == {}

@@ -1,7 +1,12 @@
 """Autodiff core: every op finite-difference checked, plus numeric anchors."""
+import ctypes
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -454,3 +459,44 @@ def test_trunc_normal_deterministic():
     a = T.trunc_normal((64, 64), 0.0, 0.02, T.RngState(9))
     b = T.trunc_normal((64, 64), 0.0, 0.02, T.RngState(9))
     np.testing.assert_array_equal(a, b)
+
+
+def run_fresh(code: str) -> list[str]:
+    """Run ``code`` in a new interpreter that imports this desklm; its printed words."""
+    env = {**os.environ, "PYTHONPATH": str(Path(T.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_importing_tensor_starts_no_process():
+    # ctypes.util.find_library runs ldconfig or gcc in a child, whose RSS the
+    # bench's peak_rss_mb counts; the allocator setting must not look libc up that way
+    before, after = run_fresh(
+        "import resource\n"
+        "def children(): return resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "before = children()\n"
+        "import desklm.tensor\n"
+        "print(before, children())")
+    assert before == after
+
+
+def test_importing_tensor_keeps_freed_arrays_in_the_heap():
+    # glibc's default maps a 4 MiB array on its own (one more mmapped chunk in
+    # mallinfo2) and unmaps it when freed; after the import it comes from the heap
+    if not hasattr(ctypes.CDLL(None), "mallinfo2"):
+        pytest.skip("the C library has no mallinfo2")
+    before, after = run_fresh(
+        "import ctypes\n"
+        "import numpy as np\n"
+        "import desklm.tensor\n"
+        "libc = ctypes.CDLL(None)\n"
+        "class Info(ctypes.Structure):\n"
+        "    _fields_ = [(n, ctypes.c_size_t) for n in 'arena ordblks smblks hblks hblkhd"
+        " usmblks fsmblks uordblks fordblks keepcost'.split()]\n"
+        "libc.mallinfo2.restype = Info\n"
+        "before = libc.mallinfo2().hblks\n"
+        "x = np.ones(1 << 19)\n"
+        "print(before, libc.mallinfo2().hblks)")
+    assert before == after

@@ -254,6 +254,10 @@ def test_validate_rejects_inconsistent_models():
         TokenizerModel([(97, 98), (97, 500)], ["<pad>"])
     with pytest.raises(ValueError, match="merge 0"):     # a negative id
         TokenizerModel([(-1, 98)], [])
+    with pytest.raises(ValueError, match="merge 1 repeats merge 0"):
+        TokenizerModel([(97, 98), (97, 98)], [])        # encode would apply only one
+    with pytest.raises(ValueError, match="merge 2 repeats merge 0"):
+        TokenizerModel([(97, 98), (256, 99), (97, 98)], [])
 
 
 # -- compression metrics ----------------------------------------------------------
