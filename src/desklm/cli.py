@@ -158,7 +158,7 @@ def cmd_corpus_dedup(args):
                                           seed=args.seed, bands=args.bands)
     corpus_mod.write_jsonl(args.out, docs)
     if args.log:
-        corpus_mod.write_removal_log(args.log, removals)
+        corpus_mod.write_jsonl(args.log, removals)
     _emit(args, {
         "documents_in": n_in,
         "documents_out": len(docs),
@@ -179,16 +179,12 @@ def cmd_corpus_plan(args):
                                  args.manifest)
     plan = corpus_mod.sample_plan(manifest, args.total_tokens)
     total = sum(q.quota for q in plan)
-    lines = [f"{'domain':<24}{'quota':>16}{'available':>16}  feasible"]
+    lines = [f"{'domain':<24}{'quota':>16}{'available':>16}"]
     for q in plan:
         avail = "unknown" if q.available is None else str(q.available)
-        lines.append(f"{q.name:<24}{q.quota:>16}{avail:>16}  {'yes' if q.feasible else 'NO'}")
+        lines.append(f"{q.name:<24}{q.quota:>16}{avail:>16}")
     lines.append(f"{'total':<24}{total:>16}")
-    _emit(args, {
-        "total_tokens": total,
-        "plan": [{"name": q.name, "quota": q.quota, "available": q.available,
-                  "feasible": q.feasible} for q in plan],
-    }, lines)
+    _emit(args, {"total_tokens": total, "plan": [asdict(q) for q in plan]}, lines)
     return EXIT_OK
 
 
@@ -304,9 +300,12 @@ def cmd_grid_search(args):
 def cmd_coord_check(args):
     config, packed = _load_run_inputs(args)
     hp = dio.decode_record(HyperParams, dio.read_json(args.hyperparams), args.hyperparams)
-    widths = sorted({int(w) for w in args.widths.split(",") if w.strip()})
-    if not widths:
-        raise ConfigError("--widths must list at least one width")
+    try:
+        widths = sorted(int(w) for w in args.widths.split(","))
+    except ValueError:
+        raise ConfigError(f"--widths takes comma-separated integers, got {args.widths!r}") from None
+    if len(set(widths)) < len(widths):
+        raise ConfigError(f"--widths lists a width twice: {args.widths!r}")
     if not args.rms_ratio_limit >= 1:
         raise ConfigError(f"--rms-ratio-limit must be >= 1, the base width's own ratio; "
                           f"got {args.rms_ratio_limit:g}")
@@ -385,12 +384,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    def add(name, func, help_):
-        sp = sub.add_parser(name, help=help_, description=help_)
+    def add(name, func, help_, *parents):
+        sp = sub.add_parser(name, help=help_, description=help_, parents=parents)
         sp.set_defaults(func=func)
         return sp
 
-    sp = add("tok-train", cmd_tok_train, "train a byte-level BPE tokenizer")
+    json_out = argparse.ArgumentParser(add_help=False)
+    json_out.add_argument("--json", action="store_true", help="machine-readable output")
+    run_inputs = argparse.ArgumentParser(add_help=False)
+    run_inputs.add_argument("--config", required=True, help="model config JSON")
+    run_inputs.add_argument("--data", required=True, help="packed token file")
+    run_inputs.add_argument("--seed", type=int, default=0, help="weight and batch-order seed")
+    run_inputs.add_argument("--rows-per-batch", type=int, default=None,
+                            help="default: batch_size_tokens / context_length")
+
+    sp = add("tok-train", cmd_tok_train, "train a byte-level BPE tokenizer", json_out)
     sp.add_argument("--corpus", required=True, help="JSONL corpus (id, domain, text)")
     sp.add_argument("--vocab-size", type=int, required=True)
     sp.add_argument("--special", action="append", default=[],
@@ -398,15 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--no-word-split", action="store_true",
                     help="merge across whitespace chunk boundaries")
     sp.add_argument("--out", required=True, help="output tokenizer JSON")
-    sp.add_argument("--json", action="store_true", help="machine-readable output")
 
-    sp = add("tok-stats", cmd_tok_stats, "compression ratios over a corpus")
+    sp = add("tok-stats", cmd_tok_stats, "compression ratios over a corpus", json_out)
     sp.add_argument("--tokenizer", required=True)
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--weights", help="JSON {domain: weight} for a weighted average")
-    sp.add_argument("--json", action="store_true")
 
-    sp = add("corpus-dedup", cmd_corpus_dedup, "paragraph + near-duplicate dedup")
+    sp = add("corpus-dedup", cmd_corpus_dedup, "paragraph + near-duplicate dedup", json_out)
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out", required=True, help="deduplicated JSONL")
     sp.add_argument("--threshold", type=float, default=0.8,
@@ -418,30 +424,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--log", help="removal log JSONL")
     sp.add_argument("--skip-paragraph", action="store_true")
     sp.add_argument("--skip-minhash", action="store_true")
-    sp.add_argument("--json", action="store_true")
 
-    sp = add("corpus-plan", cmd_corpus_plan, "token quotas from a mixing manifest")
+    sp = add("corpus-plan", cmd_corpus_plan, "token quotas from a mixing manifest", json_out)
     sp.add_argument("--manifest", required=True, help="manifest JSON")
     sp.add_argument("--total-tokens", type=int, default=None,
                     help="override the manifest's total token budget")
-    sp.add_argument("--json", action="store_true")
 
-    sp = add("corpus-pack", cmd_corpus_pack, "tokenize and pack into fixed rows")
+    sp = add("corpus-pack", cmd_corpus_pack, "tokenize and pack into fixed rows", json_out)
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--tokenizer", required=True)
     sp.add_argument("--context-length", type=int, required=True)
     sp.add_argument("--out", required=True, help="packed token file")
-    sp.add_argument("--json", action="store_true")
 
-    sp = add("train", cmd_train, "monitored training run")
-    sp.add_argument("--config", required=True, help="model config JSON")
+    sp = add("train", cmd_train, "monitored training run", run_inputs)
     sp.add_argument("--hyperparams", required=True, help="hyperparameter JSON")
-    sp.add_argument("--data", required=True, help="packed token file")
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", required=True, help="run directory")
-    sp.add_argument("--rows-per-batch", type=int, default=None,
-                    help="default: batch_size_tokens / context_length")
     sp.add_argument("--checkpoint-every", type=int, default=None)
     sp.add_argument("--save-initial", action="store_true",
                     help="checkpoint the untrained model as initial.ckpt")
@@ -451,33 +449,24 @@ def build_parser() -> argparse.ArgumentParser:
     spikes.add_argument("--keep-going", action="store_true",
                         help="log sustained spikes but do not stop")
 
-    sp = add("grid-search", cmd_grid_search, "rank hyperparameter candidates")
-    sp.add_argument("--config", required=True)
+    sp = add("grid-search", cmd_grid_search, "rank hyperparameter candidates", run_inputs)
     sp.add_argument("--grid", required=True,
                     help="JSON list of hyperparameter objects")
-    sp.add_argument("--data", required=True)
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--rows-per-batch", type=int, default=None)
     sp.add_argument("--out", required=True, help="run directory")
 
-    sp = add("coord-check", cmd_coord_check, "width-transfer activation check")
-    sp.add_argument("--config", required=True, help="base (narrow) model config")
+    sp = add("coord-check", cmd_coord_check, "width-transfer activation check", run_inputs)
     sp.add_argument("--hyperparams", required=True,
-                    help="hyperparameters tuned at the base width")
-    sp.add_argument("--widths", required=True, help="comma-separated widths")
+                    help="hyperparameters tuned at the --config width")
+    sp.add_argument("--widths", required=True, help="comma-separated widths to rescale --config to")
     sp.add_argument("--steps", type=int, default=5)
-    sp.add_argument("--data", required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--rows-per-batch", type=int, default=None,
-                    help="default: batch_size_tokens / context_length")
     sp.add_argument("--rms-ratio-limit", type=float, default=3.0,
                     help="max allowed activation growth across widths")
     sp.add_argument("--break-transfer", action="store_true",
                     help="negative control: skip the matrix LR rescaling")
     sp.add_argument("--out", help="per-step statistics CSV")
 
-    sp = add("eval-bpb", cmd_eval_bpb, "bits-per-byte evaluation report")
+    sp = add("eval-bpb", cmd_eval_bpb, "bits-per-byte evaluation report", json_out)
     sp.add_argument("--checkpoint", required=True)
     sp.add_argument("--tokenizer", required=True)
     sp.add_argument("--eval", required=True, help="held-out JSONL with domains")
@@ -485,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="JSON {profile: {domain: w}} or flat {domain: w}")
     sp.add_argument("--out", help="report JSON")
     sp.add_argument("--csv", help="per-domain CSV")
-    sp.add_argument("--json", action="store_true")
 
     return p
 

@@ -38,11 +38,12 @@ def read_jsonl(path) -> list[Document]:
             for n, line in enumerate(Path(path).read_bytes().splitlines(), 1) if line.strip()]
 
 
-def write_jsonl(path, docs):
+def write_jsonl(path, records):
+    """Write each record (a ``Document``, a ``Removal``) as one line of its
+    fields, keys sorted, text as UTF-8."""
     with dio.atomic_open(path) as f:
-        for d in docs:
-            f.write(json.dumps({"id": d.id, "domain": d.domain, "text": d.text},
-                               ensure_ascii=False, sort_keys=True) + "\n")
+        for r in records:
+            f.write(json.dumps(asdict(r), ensure_ascii=False, sort_keys=True) + "\n")
 
 
 # -- exact paragraph dedup ---------------------------------------------------
@@ -205,12 +206,6 @@ def dedup(docs, threshold: float = 0.8, k: int = 128, shingle_n: int = 5,
     return kept, removals
 
 
-def write_removal_log(path, removals):
-    with dio.atomic_open(path) as f:
-        for r in removals:
-            f.write(json.dumps(asdict(r), sort_keys=True) + "\n")
-
-
 # -- manifest and sampling plan ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -264,7 +259,6 @@ class DomainQuota:
     name: str
     quota: int
     available: int | None    # epochs * token_estimate, None if unknown
-    feasible: bool
 
 
 def sample_plan(manifest: CorpusManifest, total_tokens: int | None = None) -> list:
@@ -283,18 +277,11 @@ def sample_plan(manifest: CorpusManifest, total_tokens: int | None = None) -> li
     residue = total - sum(quotas.values())
     largest = max(manifest.domains, key=lambda d: (d.sampling_prop, d.name)).name
     quotas[largest] += residue
-    plan = []
-    bad = []
-    for d in manifest.domains:
-        available = None
-        feasible = True
-        if d.token_estimate is not None:
-            available = int(d.epochs * d.token_estimate)
-            feasible = quotas[d.name] <= available
-        if not feasible:
-            bad.append(d.name)
-        plan.append(DomainQuota(name=d.name, quota=quotas[d.name],
-                                available=available, feasible=feasible))
+    plan = [DomainQuota(name=d.name, quota=quotas[d.name],
+                        available=None if d.token_estimate is None
+                        else int(d.epochs * d.token_estimate))
+            for d in manifest.domains]
+    bad = [q.name for q in plan if q.available is not None and q.quota > q.available]
     if bad:
         raise PlanningError(
             f"sampling plan infeasible for domain(s) {', '.join(bad)}: "

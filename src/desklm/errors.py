@@ -26,7 +26,7 @@ class PlanningError(ValueError):
     """A sampling plan is infeasible for at least one domain.
 
     Carries the violating domain names in ``domains`` and the full
-    per-domain plan (including feasible rows) in ``plan``.
+    per-domain plan, each quota with what is available, in ``plan``.
     """
 
     def __init__(self, message, domains=None, plan=None):

@@ -232,11 +232,10 @@ def _fields(cls) -> dict:
 def decode_record(cls, obj, where):
     """Decode the JSON value ``obj`` as ``cls``: a dataclass, ``X | None``,
     ``list[X]``, ``dict[str, X]``, bool, int, float or str (an int passes for
-    a float, a bool only for a bool).  A dataclass takes an object with each
-    field, under its ``metadata["json"]`` name or its own, and no other; only
-    a field whose default is None may be absent.  Returns what the record's
-    ``validate()`` returns, if it has one.  Every error is a ConfigError
-    starting with ``where``."""
+    a float and is read as one, a bool only for a bool).  A dataclass takes an
+    object with each field, under its ``metadata["json"]`` name or its own, and
+    no other; only a field whose default is None may be absent.  Every error
+    is a ConfigError starting with ``where``."""
     origin, args = typing.get_origin(cls), typing.get_args(cls)
     if type(None) in args:                                  # X | None, in that order
         return None if obj is None else decode_record(args[0], obj, where)
@@ -248,6 +247,11 @@ def decode_record(cls, obj, where):
         return [decode_record(args[0], v, f"{where}[{i}]") for i, v in enumerate(obj)]
     if origin is dict:
         return {k: decode_record(args[1], v, f"{where}: {k}") for k, v in obj.items()}
+    if kind is float:
+        try:
+            return float(obj)
+        except OverflowError:
+            raise ConfigError(f"{where}: an int too large for a float") from None
     if kind is not dict:
         return obj
     table = _fields(cls)
@@ -257,7 +261,6 @@ def decode_record(cls, obj, where):
         raise ConfigError(f"{where}: " + ", ".join(f"{k} fields {v}" for k, v in bad.items() if v))
     values = {table[k][0]: decode_record(table[k][1], v, f"{where}: {k}") for k, v in obj.items()}
     try:                        # a record checks itself when it is made
-        record = cls(**values)
-        return record.validate() if hasattr(record, "validate") else record
+        return cls(**values)
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e

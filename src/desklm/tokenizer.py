@@ -29,6 +29,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 from . import io as dio
+from .errors import ConfigError
 
 _CHUNK_RE = re.compile(r"\s+|\S+")
 TOKENIZER_VERSION = 2
@@ -163,7 +164,11 @@ class TokenizerModel:
         obj = dio.read_json(path)   # version first: an older file has other fields
         if isinstance(obj, dict) and obj.get("version", TOKENIZER_VERSION) != TOKENIZER_VERSION:
             raise ValueError(f"{path}: unsupported tokenizer version {obj['version']!r}")
-        return dio.decode_record(_SavedTokenizer, obj, path)
+        saved = dio.decode_record(_SavedTokenizer, obj, path)
+        try:
+            return cls(saved.merges, saved.specials, saved.word_split)
+        except ValueError as e:
+            raise ConfigError(f"{path}: {e}") from e
 
 
 @dataclass
@@ -173,10 +178,6 @@ class _SavedTokenizer:
     word_split: bool
     specials: list[str]
     merges: list[list[int]]
-
-    def validate(self) -> TokenizerModel:
-        """The model the record describes, which ``decode_record`` returns."""
-        return TokenizerModel(self.merges, self.specials, self.word_split)
 
 
 def _initial_words(corpus, word_split: bool) -> Counter:

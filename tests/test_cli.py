@@ -1,4 +1,5 @@
 """End-to-end CLI: every subcommand, exit codes, run-directory layout."""
+import argparse
 import csv
 import json
 import math
@@ -143,6 +144,17 @@ def test_corpus_dedup_drops_planted_duplicate(ws, tmp_path, capsys):
     assert entry["est_jaccard"] == 1.0
 
 
+def test_removal_log_spells_an_id_as_the_corpus_does(tmp_path):
+    text = build_corpus(seed=41, target_bytes=2_000)[0].text
+    src, out, log = tmp_path / "src.jsonl", tmp_path / "dedup.jsonl", tmp_path / "removals.jsonl"
+    write_jsonl(src, [Document("文档-1", "d", text), Document("文档-2", "d", text)])
+    assert run(["corpus-dedup", "--corpus", str(src), "--out", str(out),
+                "--skip-paragraph", "--log", str(log)]) == 0
+    kept = json.dumps("文档-1", ensure_ascii=False).encode()
+    assert kept in out.read_bytes() and kept in log.read_bytes()
+    assert json.loads(log.read_bytes())["dropped_id"] == "文档-2"
+
+
 def test_corpus_dedup_skip_flags(ws, tmp_path, capsys):
     docs = build_corpus(seed=41, target_bytes=5_000)
     planted = docs + [Document(id="dup", domain="d", text=docs[0].text)]
@@ -170,6 +182,7 @@ def test_corpus_plan_reference_quotas(ws, capsys):
     assert code == 0
     payload = json_out(capsys)
     quotas = {row["name"]: row["quota"] for row in payload["plan"]}
+    assert all(row.keys() == {"name", "quota", "available"} for row in payload["plan"])
     assert quotas["WebText"] == 1_504_000_000_000
     assert payload["total_tokens"] == 2_000_000_000_000
 
@@ -255,6 +268,36 @@ def test_train_zero_lr_checkpoints_identical(ws, tmp_path):
     assert set(a) == set(b)
     for k in a:
         assert np.array_equal(a[k], b[k]), k
+
+
+def test_train_output_does_not_depend_on_how_a_float_is_spelled(ws, tmp_path):
+    config = json.loads((ws / "config.json").read_text())
+    hp = json.loads((ws / "hp.json").read_text())
+    runs = {}
+    for spelling, theta, min_lr in (("float", 10000.0, 0.0), ("int", 10000, 0)):
+        (tmp_path / f"{spelling}_config.json").write_text(
+            json.dumps(config | {"rope_theta": theta}))
+        (tmp_path / f"{spelling}_hp.json").write_text(
+            json.dumps(hp | {"rope_theta": theta, "minimum_learning_rate": min_lr}))
+        out = runs[spelling] = tmp_path / spelling
+        assert run(["train", "--config", str(tmp_path / f"{spelling}_config.json"),
+                    "--hyperparams", str(tmp_path / f"{spelling}_hp.json"),
+                    "--data", str(ws / "packed.dlm"), "--steps", "3", "--out", str(out)]) == 0
+
+    def outputs(root):
+        files = {}
+        for path in sorted(root.rglob("*")):
+            name = path.relative_to(root).as_posix()
+            if name == "logs/run_log.csv":      # less its timing column
+                with open(path, newline="") as f:
+                    files[name] = [{k: v for k, v in row.items() if k != "wall_ms"}
+                                   for row in csv.DictReader(f)]
+            elif path.is_file() and name != "config/invocation.json":    # names the inputs
+                files[name] = path.read_bytes()
+        return files
+    got, want = outputs(runs["int"]), outputs(runs["float"])
+    assert got.keys() == want.keys() and "checkpoints/final.ckpt" in got
+    assert [name for name in want if got[name] != want[name]] == []
 
 
 def test_train_context_mismatch_is_usage_error(ws, tmp_path):
@@ -626,6 +669,30 @@ def test_coord_check_rejects_empty_widths(ws, tmp_path):
     assert run(["coord-check", "--config", str(cfg),
                 "--hyperparams", str(ws / "hp.json"), "--widths", " , ",
                 "--steps", "2", "--data", str(ws / "packed.dlm")]) == 2
+
+
+@pytest.mark.parametrize("widths", ["16,16", "16,,32", "16,x"])
+def test_coord_check_refuses_a_width_list_it_would_misread(ws, tmp_path, capsys, widths):
+    out = tmp_path / "coord" / "coord.csv"
+    assert run(["coord-check", "--config", str(coord_config(ws, tmp_path)),
+                "--hyperparams", str(ws / "hp.json"), "--widths", widths,
+                "--steps", "2", "--data", str(ws / "packed.dlm"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "--widths" in err and repr(widths) in err
+    assert not out.parent.exists()
+
+
+def test_shared_flags_are_declared_alike_in_every_command():
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    shared = {dest: ("train", "grid-search", "coord-check")
+              for dest in ("config", "data", "seed", "rows_per_batch")}
+    shared["json"] = ("tok-train", "tok-stats", "corpus-dedup", "corpus-plan",
+                      "corpus-pack", "eval-bpb")
+    for dest, names in shared.items():
+        kinds = {(a.option_strings[0], a.help, a.default, a.required, a.type)
+                 for name in names for a in commands[name]._actions if a.dest == dest}
+        assert len(kinds) == 1, (dest, kinds)
 
 
 # -- evaluation -------------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from desklm import io as dio
-from desklm.corpus import Document, Removal, write_jsonl, write_removal_log
+from desklm.corpus import Document, Removal, write_jsonl
 from desklm.errors import ConfigError, CorruptFileError
 from desklm.evaluation import BpbReport
 from desklm.io import canonical_json, load_arrays, save_arrays
@@ -194,9 +194,9 @@ WRITERS = {
         lambda p: CoordCheckResult(_disk_full_after([(16, 1, "loss", 0.5)]), {}, {}).write_csv(p)),
     "write_jsonl": (lambda p: write_jsonl(p, [_DOC]),
                     lambda p: write_jsonl(p, _disk_full_after([_DOC, _DOC]))),
-    "write_removal_log": (
-        lambda p: write_removal_log(p, [Removal("a", "b", 0.9)]),
-        lambda p: write_removal_log(p, _disk_full_after([Removal("c", "d", 0.8)]))),
+    "write_jsonl.removals": (
+        lambda p: write_jsonl(p, [Removal("a", "b", 0.9)]),
+        lambda p: write_jsonl(p, _disk_full_after([Removal("c", "d", 0.8)]))),
     "TokenizerModel.save": (lambda p: _TOK.save(p), lambda p: _broken_tokenizer().save(p)),
 }
 
@@ -235,6 +235,17 @@ def test_written_json_reads_back_with_non_finite_floats_as_null(tmp_path):
                                          "nested": [{"score": np.float64(nan)}]})
     assert dio.read_json(tmp_path / "x.json") == {
         "loss": None, "ctx": [1.5, None, None], "nested": [{"score": None}]}
+
+
+def test_a_float_field_reads_an_int_as_a_float():
+    assert type(dio.decode_record(float, 1, "w")) is float
+    assert dio.decode_record(dict[str, float], {"a": 0}, "w") == {"a": 0.0}
+    assert type(dio.decode_record(float | None, 3, "w")) is float
+
+
+def test_an_int_too_large_for_a_float_is_refused_by_name():
+    with pytest.raises(ConfigError, match="^w: an int too large for a float"):
+        dio.decode_record(float, 10**400, "w")
 
 
 # -- synthetic corpus -----------------------------------------------------------
