@@ -316,7 +316,7 @@ class Model:
                                       self.params[f"{pre}.ffn.w_up"],
                                       self.params[f"{pre}.ffn.w_down"]))
             stats["block_rms"].append(rms_of(h))
-        stats["pre_logit_rms"] = rms_of(h)
+        stats["pre_logit_rms"] = stats["block_rms"][-1]
         self.last_stats = stats
         hn = T.layer_norm(h, self.params["final_norm.gain"],
                           self.params["final_norm.bias"], cfg.norm_eps)

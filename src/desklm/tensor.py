@@ -102,9 +102,12 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, g: np.ndarray):
+        # A first arrival becomes grad, so an op hands over only an array that
+        # nothing else reads or writes: one it has just made, or the upstream
+        # gradient (or a view of it) given to one parent; backward drops it.
+        # asarray copies nothing but a numpy scalar (0-d arithmetic's result).
         if self.grad is None:
-            # A copy: ops hand the same array to two parents, or a view.
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = np.asarray(g)
         else:
             self.grad += g
 
@@ -112,6 +115,8 @@ class Tensor:
         """Backpropagate from this scalar through the recorded tape."""
         if self.data.shape != ():
             raise ShapeError(f"backward() requires a scalar, got shape {self.data.shape}")
+        if not self.requires_grad:
+            raise RuntimeError(f"backward() on a {self._op} tensor that needs no gradient")
         # Iterative topological sort; graphs can get long at many layers.
         topo, visited, stack = [], set(), [(self, False)]
         while stack:
@@ -172,7 +177,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         if a.requires_grad:
             a._accumulate(_unbroadcast(g, a.shape))
         if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.shape))
+            gb = _unbroadcast(g, b.shape)
+            b._accumulate(np.copy(gb) if gb is a.grad else gb)   # a owns g now
 
     return _make(data, (a, b), "add", fn)
 
@@ -486,16 +492,17 @@ def softmax_cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
         raise ValueError("cross entropy mask selects no rows")
 
     zmax = np.max(logits.data, axis=-1, keepdims=True)
-    z = logits.data - zmax
-    lse = np.log(np.sum(np.exp(z), axis=-1)) + zmax[:, 0]
+    e = np.exp(logits.data - zmax)
+    esum = np.sum(e, axis=-1, keepdims=True)
+    lse = np.log(esum[:, 0]) + zmax[:, 0]
     picked = logits.data[np.arange(n), targets]
     data = np.sum(w * (lse - picked)) / total
 
     def fn(g):
-        p = np.exp(z)
-        p /= p.sum(axis=-1, keepdims=True)
+        p = e / esum
         p[np.arange(n), targets] -= 1.0
-        logits._accumulate(p * (g * w / total)[:, None])
+        p *= (g * w / total)[:, None]
+        logits._accumulate(p)
 
     return _make(data, (logits,), "cross_entropy", fn)
 
@@ -516,7 +523,7 @@ def swiglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tenso
 
 def sum_all(a: Tensor) -> Tensor:
     def fn(g):
-        a._accumulate(np.broadcast_to(g, a.shape))
+        a._accumulate(np.broadcast_to(g, a.shape).copy())   # the view is read-only
 
     return _make(a.data.sum(), (a,), "sum", fn)
 

@@ -278,6 +278,8 @@ def test_loss_over_frozen_parameters_builds_no_tape():
     loss = frozen.loss(toks)
     assert loss._parents == () and not loss.requires_grad
     assert loss.item() == model.loss(toks).item()
+    with pytest.raises(RuntimeError, match="needs no gradient"):
+        loss.backward()
 
 
 # -- stats hooks ---------------------------------------------------------------
