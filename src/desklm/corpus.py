@@ -140,11 +140,6 @@ def signature_from_hashes(hashes: np.ndarray, k: int, seed: int) -> MinHashSigna
     return MinHashSignature(k=k, seed=seed, mins=permuted.min(axis=0))
 
 
-def minhash_signature(text: str, k: int = 128, shingle_n: int = 5,
-                      seed: int = 0) -> MinHashSignature:
-    return signature_from_hashes(shingle_hashes(text, shingle_n), k, seed)
-
-
 def estimate_jaccard(a: MinHashSignature, b: MinHashSignature) -> float:
     """Fraction of matching signature slots; unbiased estimate of Jaccard."""
     if a.k != b.k or a.seed != b.seed:
@@ -185,7 +180,7 @@ def dedup(docs, threshold: float = 0.8, k: int = 128, shingle_n: int = 5,
     signed = []     # (kept document, its signature); bucket entries index this list
     for doc in docs:
         try:
-            sig = minhash_signature(doc.text, k=k, shingle_n=shingle_n, seed=seed)
+            sig = signature_from_hashes(shingle_hashes(doc.text, shingle_n), k, seed)
         except EmptyShingleError:
             kept.append(doc)
             continue

@@ -66,7 +66,7 @@ class Multipliers:
 
 @dataclass(frozen=True)
 class HyperParams:
-    """Searched and fixed training hyperparameters.
+    """Searched and fixed training hyperparameters; every default is the published value.
 
     The searched seven: two learning rates, min lr, two init stds, and the
     two multipliers.  The rest ride along unchanged through width transfer.
@@ -285,43 +285,44 @@ class Model:
             segments = np.asarray(segments)
             if segments.shape != tokens.shape:
                 raise ConfigError("segments shape must match tokens")
-        d, heads, hd = cfg.hidden_size, cfg.attention_heads, cfg.head_dim
-        scale = (1.0 / hd) if cfg.attn_scale_mode == "mup" else (1.0 / math.sqrt(hd))
+        d = cfg.hidden_size
         bias = attention_bias(segments)
-        positions = np.arange(t)
-        live = segments != 0
+        live = (segments != 0)[:, :, None]
         n_live = max(int(live.sum()), 1)
-
-        def rms_of(x_tensor):
-            h = x_tensor.data
-            return float(np.sqrt((h ** 2 * live[:, :, None]).sum() / (n_live * d)))
-
-        stats = {"block_rms": []}
+        rms = []
         h = T.scale(T.embedding(self.params["embedding"], tokens), self.multipliers.input_mult)
         for i in range(cfg.layer_num):
-            pre = f"layers.{i}"
-            x = T.rms_norm(h, self.params[f"{pre}.attn_norm.gain"], cfg.norm_eps)
-            x2 = T.reshape(x, (b * t, d))
-            q = T.reshape(T.matmul(x2, self.params[f"{pre}.attn.wq"]), (b, t, heads, hd))
-            k = T.reshape(T.matmul(x2, self.params[f"{pre}.attn.wk"]), (b, t, heads, hd))
-            v = T.reshape(T.matmul(x2, self.params[f"{pre}.attn.wv"]), (b, t, heads, hd))
-            q = T.rope_rotate(T.transpose(q, (0, 2, 1, 3)), positions, cfg.rope_theta)
-            k = T.rope_rotate(T.transpose(k, (0, 2, 1, 3)), positions, cfg.rope_theta)
-            v = T.transpose(v, (0, 2, 1, 3))
-            ctx = T.transpose(T.causal_attention(q, k, v, bias, scale), (0, 2, 1, 3))
-            ctx = T.matmul(T.reshape(ctx, (b * t, d)), self.params[f"{pre}.attn.wo"])
-            h = T.add(h, T.reshape(ctx, (b, t, d)))
-            x = T.rms_norm(h, self.params[f"{pre}.ffn_norm.gain"], cfg.norm_eps)
-            h = T.add(h, T.swiglu_ffn(x, self.params[f"{pre}.ffn.w_gate"],
-                                      self.params[f"{pre}.ffn.w_up"],
-                                      self.params[f"{pre}.ffn.w_down"]))
-            stats["block_rms"].append(rms_of(h))
-        stats["pre_logit_rms"] = stats["block_rms"][-1]
-        self.last_stats = stats
+            h = self._block(i, h, bias)
+            rms.append(float(np.sqrt((h.data ** 2 * live).sum() / (n_live * d))))
+        self.last_stats = {"block_rms": rms, "pre_logit_rms": rms[-1]}
         hn = T.layer_norm(h, self.params["final_norm.gain"],
                           self.params["final_norm.bias"], cfg.norm_eps)
         logits = T.matmul(T.reshape(hn, (b * t, d)), self.params["lm_head"])
         return T.scale(T.reshape(logits, (b, t, cfg.vocab_size)), self.multipliers.output_mult)
+
+    def _block(self, i, h, bias):
+        """Block ``i`` on the residual stream ``h`` [B, T, d], attending under ``bias``:
+        the one reader of the ``layers.{i}.*`` parameters."""
+        cfg, (b, t, d), pre = self.config, h.shape, f"layers.{i}"
+        hd, positions = cfg.head_dim, np.arange(t)
+        scale = (1.0 / hd) if cfg.attn_scale_mode == "mup" else (1.0 / math.sqrt(hd))
+        x = T.rms_norm(h, self.params[f"{pre}.attn_norm.gain"], cfg.norm_eps)
+        x2 = T.reshape(x, (b * t, d))
+
+        def heads_of(role):
+            """``x2`` through ``attn.<role>``, split into [B, heads, T, head dim]."""
+            y = T.matmul(x2, self.params[f"{pre}.attn.{role}"])
+            return T.transpose(T.reshape(y, (b, t, cfg.attention_heads, hd)), (0, 2, 1, 3))
+
+        q, k, v = (heads_of(role) for role in ("wq", "wk", "wv"))
+        q, k = (T.rope_rotate(y, positions, cfg.rope_theta) for y in (q, k))
+        ctx = T.transpose(T.causal_attention(q, k, v, bias, scale), (0, 2, 1, 3))
+        ctx = T.matmul(T.reshape(ctx, (b * t, d)), self.params[f"{pre}.attn.wo"])
+        h = T.add(h, T.reshape(ctx, (b, t, d)))
+        x = T.rms_norm(h, self.params[f"{pre}.ffn_norm.gain"], cfg.norm_eps)
+        return T.add(h, T.swiglu_ffn(x, self.params[f"{pre}.ffn.w_gate"],
+                                     self.params[f"{pre}.ffn.w_up"],
+                                     self.params[f"{pre}.ffn.w_down"]))
 
     def loss(self, tokens, segments=None):
         """Mean next-token cross entropy in nats over predicted positions.

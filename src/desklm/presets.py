@@ -5,6 +5,8 @@ narrow width-512 proxy used for hyperparameter search; both share depth,
 context, vocabulary, and a fixed head dim of 128.  The hyperparameter
 presets are exact width-transfer partners: transferring the width-512
 search optimum to width 8192 reproduces the flagship values bit for bit.
+Each preset states only what differs from the ``ModelConfig`` and
+``HyperParams`` defaults, which are the published values.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ def config_52b() -> ModelConfig:
         ffn_hidden_size=21824,
         vocab_size=80000,
         context_length=4096,
-        rope_theta=10_000.0,
     )
 
 
@@ -35,7 +36,6 @@ def config_mup_512() -> ModelConfig:
         ffn_hidden_size=1344,
         vocab_size=80000,
         context_length=4096,
-        rope_theta=10_000.0,
     )
 
 
@@ -49,13 +49,6 @@ def hyperparams_52b() -> HyperParams:
         matrix_std=4.242e-3,
         input_mult=1.0,
         output_mult=3.125e-2,
-        schedule_type="cosine",
-        schedule_tokens=2_500_000_000_000,
-        warmup_steps=2_000,
-        clip_grad=1.0,
-        weight_decay=0.0,
-        batch_tokens=5_505_024,
-        rope_theta=10_000.0,
     )
 
 
@@ -71,13 +64,6 @@ def hyperparams_mup_512() -> HyperParams:
         matrix_std=1.6968e-2,
         input_mult=1.0,
         output_mult=0.5,
-        schedule_type="cosine",
-        schedule_tokens=2_500_000_000_000,
-        warmup_steps=2_000,
-        clip_grad=1.0,
-        weight_decay=0.0,
-        batch_tokens=5_505_024,
-        rope_theta=10_000.0,
     )
 
 
@@ -157,11 +143,7 @@ def toy_hyperparams(steps: int = 500, batch_tokens: int = 512,
         matrix_std=8e-2,
         input_mult=1.0,
         output_mult=1.0,
-        schedule_type="cosine",
         schedule_tokens=steps * batch_tokens,
         warmup_steps=warmup_steps,
-        clip_grad=1.0,
-        weight_decay=0.0,
         batch_tokens=batch_tokens,
-        rope_theta=10_000.0,
     )

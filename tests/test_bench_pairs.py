@@ -1,11 +1,17 @@
-"""The summary arithmetic of tools/bench_pairs.py, on hand-made pairs."""
+"""tools/bench_pairs.py: its summary arithmetic on hand-made pairs, and its
+cleanup when it is stopped."""
 import importlib.util
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-_spec = importlib.util.spec_from_file_location(
-    "bench_pairs", Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py")
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
@@ -52,3 +58,55 @@ def test_workload_row_collects_exit_codes_and_correctness():
     assert got["metrics"]["wall_s"]["change_values"] == [0.9, 2.5]
     assert (got["metrics"]["wall_s"]["change_wins"],
             got["metrics"]["wall_s"]["parent_wins"]) == (1, 1)
+
+
+# Runs the tool's main on two trees whose bench/run.py (argv[3]) only sleeps.
+DRIVER = """
+import importlib.util, sys
+spec = importlib.util.spec_from_file_location("bench_pairs", sys.argv[1])
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+
+def snapshot(rev, dest):
+    for side in tool.SIDES:
+        (dest / side / "bench").mkdir(parents=True)
+        (dest / side / "bench" / "run.py").write_text(sys.argv[3])
+    return rev
+
+tool.snapshot = snapshot
+sys.exit(tool.main(["--parent", "HEAD", "--workload", "prep", "--out", sys.argv[2]]))
+"""
+STUB = "import os, time\nopen(os.environ['STUB_PID'], 'w').write(str(os.getpid()))\ntime.sleep(60)\n"
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_sigterm_removes_the_temporary_trees_and_stops_the_bench_run(tmp_path):
+    tmp, pid_file = tmp_path / "tmp", tmp_path / "stub.pid"
+    tmp.mkdir()
+    env = {**os.environ, "TMPDIR": str(tmp), "STUB_PID": str(pid_file)}
+    tool = subprocess.Popen([sys.executable, "-c", DRIVER, str(TOOL), str(tmp_path / "out.json"),
+                             STUB], env=env)
+    stub = None
+    try:
+        deadline = time.monotonic() + 30
+        while not (pid_file.exists() and pid_file.read_text()):
+            assert time.monotonic() < deadline and tool.poll() is None, "no bench run started"
+            time.sleep(0.05)
+        stub = int(pid_file.read_text())
+        assert len(list(tmp.glob("bench-run-*"))) == 1
+        tool.send_signal(signal.SIGTERM)
+        assert tool.wait(timeout=30) == 128 + signal.SIGTERM
+        assert list(tmp.iterdir()) == []
+        assert not _alive(stub)
+    finally:
+        tool.kill()
+        tool.wait(timeout=30)
+        if stub is not None and _alive(stub):
+            os.kill(stub, signal.SIGKILL)

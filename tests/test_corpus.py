@@ -7,8 +7,8 @@ import pytest
 from desklm import io as dio
 from desklm.corpus import (CorpusManifest, Document, DomainSpec, dedup,
                            dedup_paragraphs, estimate_jaccard, load_packed,
-                           minhash_signature, pack, read_jsonl, sample_plan,
-                           save_packed, sequences_per_step, shingle_hashes,
+                           pack, read_jsonl, sample_plan, save_packed,
+                           sequences_per_step, shingle_hashes,
                            signature_from_hashes, write_jsonl)
 from desklm.errors import ConfigError, CorruptFileError, EmptyShingleError, PlanningError
 from desklm.presets import reference_manifest
@@ -97,7 +97,8 @@ def test_signature_validation():
 
 def test_minhash_signature_deterministic():
     text = "determinism means the same text always hashes the same way"
-    assert minhash_signature(text) == minhash_signature(text)
+    assert (signature_from_hashes(shingle_hashes(text, 5), 128, 0)
+            == signature_from_hashes(shingle_hashes(text, 5), 128, 0))
 
 
 # -- dedup ------------------------------------------------------------------------

@@ -270,6 +270,35 @@ def test_backward_frees_the_tape_but_keeps_parameter_grads():
         assert p.grad is not None, name
 
 
+def test_each_block_is_one_call(monkeypatch):
+    model = build_small(layer_num=3)
+    names = {id(p): name for name, p in model.params.items()}
+    calls, current, read = [], [None], {}
+    block, make = Model._block, T._make
+
+    def tagged_block(self, i, h, bias):
+        calls.append(i)
+        current[0] = i
+        try:
+            return block(self, i, h, bias)
+        finally:
+            current[0] = None
+
+    def tagged_make(data, parents, op, backward_fn):
+        read.setdefault(current[0], set()).update(
+            names[id(p)] for p in parents if id(p) in names)
+        return make(data, parents, op, backward_fn)
+
+    monkeypatch.setattr(Model, "_block", tagged_block)
+    monkeypatch.setattr(T, "_make", tagged_make)
+    model.loss(RngState(2).integers(0, 32, size=(2, 16)).astype(np.int32))
+    assert calls == [0, 1, 2]
+    for i in range(3):
+        assert read[i] == {n for n in model.params if n.startswith(f"layers.{i}.")}
+        assert len(read[i]) == 9
+    assert read[None] == {"embedding", "final_norm.gain", "final_norm.bias", "lm_head"}
+
+
 def test_loss_over_frozen_parameters_builds_no_tape():
     model = build_small()
     frozen = Model(model.config, model.multipliers,

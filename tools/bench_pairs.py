@@ -26,6 +26,7 @@ import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -74,9 +75,11 @@ def summarize_workload(specs, runs, first_side):
     }
 
 
-def snapshot(rev, dest: Path):
-    """Copy the parent (``git archive rev``) and this working tree to ``dest``."""
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, *TREE],
+def snapshot(rev, dest: Path) -> str:
+    """Copy the parent (``git archive rev``) and this working tree to ``dest``;
+    the parent's short commit hash."""
+    git = ["git", "-C", str(ROOT)]
+    tar = subprocess.run([*git, "archive", "--format=tar", rev, *TREE],
                          check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as t:
         t.extractall(dest / "parent", filter="data")
@@ -87,6 +90,8 @@ def snapshot(rev, dest: Path):
         else:
             dst.parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(src, dst)
+    return subprocess.run([*git, "rev-parse", "--short", rev],
+                          check=True, capture_output=True, text=True).stdout.strip()
 
 
 def run_once(tree: Path, args, workload):
@@ -106,6 +111,9 @@ def run_once(tree: Path, args, workload):
 
 
 def main(argv=None) -> int:
+    # Stopped, the tool leaves through SystemExit: subprocess.run kills the bench
+    # run it waits on, and both temporary trees are removed.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -118,8 +126,23 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2, for quartiles")
-    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
-                         check=True, capture_output=True, text=True).stdout.strip()
+    workloads = []
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = Path(tmp)
+        rev = snapshot(args.parent, trees)
+        for workload in args.workload:
+            runs, first_side = {side: [] for side in SIDES}, []
+            for i in range(args.pairs):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                first_side.append(order[0])
+                for side in order:
+                    runs[side].append(run_once(trees / side, args, workload))
+                print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
+                    f"{s} tokens_per_s {runs[s][-1]['metrics']['tokens_per_s']['value']:.6g}"
+                    for s in SIDES), file=sys.stderr)
+            workloads.append({
+                "workload": workload, "seed": args.seed, "pairs": args.pairs,
+                **summarize_workload(bench["end_to_end"], runs, first_side)})
     report = {
         "command": f"python3 bench/run.py --workload W --seed {args.seed} "
                    f"--seconds {args.seconds:g} --trace 0",
@@ -133,24 +156,8 @@ def main(argv=None) -> int:
                   "over its median, is wider than the metric's BENCHMARK.json bound",
         "machine": f"{platform.machine()}, {os.cpu_count()} cores, "
                    f"Python {platform.python_version()}, 1 BLAS thread (bench/run.py pins it)",
-        "workloads": [],
+        "workloads": workloads,
     }
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = Path(tmp)
-        snapshot(args.parent, trees)
-        for workload in args.workload:
-            runs, first_side = {side: [] for side in SIDES}, []
-            for i in range(args.pairs):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                first_side.append(order[0])
-                for side in order:
-                    runs[side].append(run_once(trees / side, args, workload))
-                print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
-                    f"{s} tokens_per_s {runs[s][-1]['metrics']['tokens_per_s']['value']:.6g}"
-                    for s in SIDES), file=sys.stderr)
-            report["workloads"].append({
-                "workload": workload, "seed": args.seed, "pairs": args.pairs,
-                **summarize_workload(bench["end_to_end"], runs, first_side)})
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     for w in report["workloads"]:
         for name, m in w["metrics"].items():
