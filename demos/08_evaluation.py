@@ -32,7 +32,7 @@ result = train(model, Schedule.from_hyperparams(hp),
 print(f"trained {len(result.log)} steps, final loss {result.log[-1].loss:.3f}")
 
 held_out = build_corpus(seed=77, target_bytes=30_000)
-eval_sets = [load_eval_set(s, [d for d in held_out if d.domain == s], tok)
+eval_sets = [load_eval_set(s, [d.text for d in held_out if d.domain == s], tok)
              for s in STYLES]
 report = build_report(model, tok, eval_sets,
                       weight_profiles={"flat": {s: 1 / len(STYLES) for s in STYLES}})

@@ -415,12 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp = add("corpus-dedup", cmd_corpus_dedup, "paragraph + near-duplicate dedup", json_out)
     sp.add_argument("--corpus", required=True)
     sp.add_argument("--out", required=True, help="deduplicated JSONL")
-    sp.add_argument("--threshold", type=float, default=0.8,
-                    help="estimated-Jaccard drop threshold (default 0.8)")
-    sp.add_argument("--k", type=int, default=128, help="MinHash permutations")
-    sp.add_argument("--shingle-n", type=int, default=5, help="words per shingle")
-    sp.add_argument("--bands", type=int, default=16, help="LSH bands")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--threshold", type=float, default=corpus_mod.DEDUP_THRESHOLD,
+                    help="estimated-Jaccard drop threshold (default %(default)s)")
+    sp.add_argument("--k", type=int, default=corpus_mod.MINHASH_K, help="MinHash permutations")
+    sp.add_argument("--shingle-n", type=int, default=corpus_mod.SHINGLE_N, help="words per shingle")
+    sp.add_argument("--bands", type=int, default=corpus_mod.LSH_BANDS, help="LSH bands")
+    sp.add_argument("--seed", type=int, default=corpus_mod.MINHASH_SEED)
     sp.add_argument("--log", help="removal log JSONL")
     sp.add_argument("--skip-paragraph", action="store_true")
     sp.add_argument("--skip-minhash", action="store_true")

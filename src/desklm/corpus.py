@@ -86,7 +86,11 @@ def dedup_paragraphs(docs) -> tuple[list, int]:
 
 # -- MinHash -----------------------------------------------------------------
 
-def shingle_hashes(text: str, n: int = 5) -> np.ndarray:
+# dedup's defaults, which the corpus-dedup flags also take
+DEDUP_THRESHOLD, MINHASH_K, SHINGLE_N, MINHASH_SEED, LSH_BANDS = 0.8, 128, 5, 0, 16
+
+
+def shingle_hashes(text: str, n: int = SHINGLE_N) -> np.ndarray:
     """64-bit hashes of n-gram word shingles (whitespace-normalized).
 
     Documents with fewer than n words contribute a single whole-text
@@ -154,8 +158,9 @@ class Removal:
     est_jaccard: float
 
 
-def dedup(docs, threshold: float = 0.8, k: int = 128, shingle_n: int = 5,
-          seed: int = 0, bands: int = 16) -> tuple[list, list]:
+def dedup(docs, threshold: float = DEDUP_THRESHOLD, k: int = MINHASH_K,
+          shingle_n: int = SHINGLE_N, seed: int = MINHASH_SEED,
+          bands: int = LSH_BANDS) -> tuple[list, list]:
     """Greedy near-duplicate removal in input order.
 
     Each document is bucketed by LSH bands (k/bands rows per band); only

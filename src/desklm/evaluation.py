@@ -36,13 +36,13 @@ class DomainEvalSet:
     token_count: int
 
 
-def load_eval_set(name: str, docs, tokenizer) -> DomainEvalSet:
-    """Build an eval set from documents (``corpus.Document`` or ``str``),
-    tokenizing each once and recomputing both counts."""
-    texts = [d.text if isinstance(d, corpus_mod.Document) else d for d in docs]
+def load_eval_set(name: str, texts, tokenizer) -> DomainEvalSet:
+    """Build an eval set from document texts, tokenizing each once and
+    recomputing both counts."""
+    texts = list(texts)
     for t in texts:
         if not isinstance(t, str):
-            raise ConfigError(f"eval set {name!r}: got a {type(t).__name__}, not a Document or str")
+            raise ConfigError(f"eval set {name!r}: got a {type(t).__name__}, not a str")
     if not texts:
         raise ConfigError(f"eval set {name!r} has no documents")
     byte_count = sum(len(t.encode("utf-8")) for t in texts)

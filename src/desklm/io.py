@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConfigError, CorruptFileError
 
-_MAGIC = b"DLM1"
+_MAGIC, _FORMAT_VERSION = b"DLM1", 1   # the one format_version written and read
 _PREAMBLE = 12                  # magic plus the uint64 header length
 _DTYPES = {"<f8", "<i4"}
 
@@ -106,7 +106,7 @@ def save_arrays(path, arrays: dict, meta: dict | None = None) -> None:
         blobs.append(blob)
         offset += len(blob)
     header = {
-        "format_version": 1,
+        "format_version": _FORMAT_VERSION,
         "meta": meta or {},
         "arrays": entries,
     }
@@ -147,7 +147,7 @@ def load_arrays(path) -> tuple[dict, dict]:
             raise TypeError(f"meta is a {type(meta).__name__}, not an object")
     except (ValueError, TypeError, KeyError) as e:
         raise CorruptFileError(f"{path}: unreadable header ({e!r})") from e
-    if type(version) is not int or version != 1:
+    if type(version) is not int or version != _FORMAT_VERSION:
         raise CorruptFileError(f"{path}: unsupported format_version {version!r}")
     data = memoryview(raw)[data_start:]
     arrays = {}

@@ -337,7 +337,7 @@ class Model:
         if t < 2:
             raise ConfigError("need at least 2 tokens per row to form a target")
         seg = np.ones((b, t), dtype=np.int32) if segments is None else np.asarray(segments)
-        logits = self.forward(tokens, segments)
+        logits = self.forward(tokens, seg)
         targets = np.zeros_like(tokens)
         targets[:, :-1] = tokens[:, 1:]
         mask = predicted_positions(seg)

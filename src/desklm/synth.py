@@ -147,11 +147,6 @@ def build_corpus(seed: int, target_bytes: int, styles=STYLES,
     return docs
 
 
-def mixed_fixture_text(seed: int = 1234, target_bytes: int = 1_000_000) -> list[Document]:
-    """The bundled mixed-text fixture used by tokenizer tests and the CLI."""
-    return build_corpus(seed, target_bytes)
-
-
 def mutate_words(rng: RngState, text: str, frac: float) -> str:
     """Replace a fraction of words as one contiguous block; handy for
     planting near-duplicates with a known overlap."""

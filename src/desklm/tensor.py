@@ -162,7 +162,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 
 
 def _make(data, parents, op, backward_fn):
-    """The op's output; it joins the tape only if some parent needs a gradient."""
+    """The output of op ``op`` (its function's name); taped only if a parent needs a gradient."""
     if not any(p.requires_grad for p in parents):
         return Tensor(data, _op=op)
     out = Tensor(data, requires_grad=True, _parents=parents, _op=op)
@@ -372,7 +372,7 @@ def rope_rotate(x: Tensor, positions, theta: float = 10000.0) -> Tensor:
         gx[..., 1::2] = -ge * sin + go * cos
         x._accumulate(gx)
 
-    return _make(data, (x,), "rope", fn)
+    return _make(data, (x,), "rope_rotate", fn)
 
 
 def softmax_last(a: Tensor) -> Tensor:
@@ -385,7 +385,7 @@ def softmax_last(a: Tensor) -> Tensor:
         dot = np.sum(g * p, axis=-1, keepdims=True)
         a._accumulate(p * (g - dot))
 
-    return _make(p, (a,), "softmax", fn)
+    return _make(p, (a,), "softmax_last", fn)
 
 
 # Query rows per attention tile, a multiple of 8 so tile edges meet the block
@@ -504,7 +504,7 @@ def softmax_cross_entropy(logits: Tensor, targets, mask=None) -> Tensor:
         p *= (g * w / total)[:, None]
         logits._accumulate(p)
 
-    return _make(data, (logits,), "cross_entropy", fn)
+    return _make(data, (logits,), "softmax_cross_entropy", fn)
 
 
 def swiglu_ffn(x: Tensor, w_gate: Tensor, w_up: Tensor, w_down: Tensor) -> Tensor:
@@ -525,7 +525,7 @@ def sum_all(a: Tensor) -> Tensor:
     def fn(g):
         a._accumulate(np.broadcast_to(g, a.shape).copy())   # the view is read-only
 
-    return _make(a.data.sum(), (a,), "sum", fn)
+    return _make(a.data.sum(), (a,), "sum_all", fn)
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -534,4 +534,4 @@ def mean_all(a: Tensor) -> Tensor:
     def fn(g):
         a._accumulate(np.full(a.shape, float(g) / n))
 
-    return _make(a.data.mean(), (a,), "mean", fn)
+    return _make(a.data.mean(), (a,), "mean_all", fn)

@@ -27,7 +27,7 @@ from desklm.model import (HyperParams, Model, ModelConfig, ParamClass, attention
 from desklm.mup import WidthPair, coordinate_check, transfer
 from desklm.presets import (config_52b, config_mup_512, hyperparams_52b,
                             hyperparams_mup_512, toy_config, toy_hyperparams)
-from desklm.synth import build_corpus, make_document, mixed_fixture_text, mutate_words
+from desklm.synth import build_corpus, make_document, mutate_words
 from desklm.tensor import RngState
 from desklm.tokenizer import compression_ratio, train_bbpe
 from desklm.trainer import Schedule, batch_iterator, detect_spike, lr_at, smoothed, train
@@ -280,7 +280,7 @@ def test_merge_free_tokenizer_ratio_is_exactly_one():
 
 
 def test_training_matches_quadratic_oracle_on_fixture(tok512):
-    texts = [d.text for d in mixed_fixture_text()]
+    texts = [d.text for d in build_corpus(1234, 1_000_000)]
     assert sum(len(t.encode("utf-8")) for t in texts) == 1_000_437
     model = train_bbpe(texts, 512, specials=("<pad>",))
     ref_merges, ref_vocab = reference_bbpe(texts, 512, specials=("<pad>",))

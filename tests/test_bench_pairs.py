@@ -1,6 +1,8 @@
 """tools/bench_pairs.py: its summary arithmetic on hand-made pairs, and its
 cleanup when it is stopped."""
+import argparse
 import importlib.util
+import json
 import os
 import signal
 import subprocess
@@ -58,6 +60,14 @@ def test_workload_row_collects_exit_codes_and_correctness():
     assert got["metrics"]["wall_s"]["change_values"] == [0.9, 2.5]
     assert (got["metrics"]["wall_s"]["change_wins"],
             got["metrics"]["wall_s"]["parent_wins"]) == (1, 1)
+
+
+def test_each_run_is_the_command_the_benchmark_names():
+    bench = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())
+    args = argparse.Namespace(seed=29, seconds=30.0)
+    assert bench_pairs.bench_command(bench, args, "sweep") == [
+        *bench["command"], "--workload", "sweep", "--seed", "29", "--seconds", "30",
+        "--trace", "0"]
 
 
 # Runs the tool's main on two trees whose bench/run.py (argv[3]) only sleeps.

@@ -1,6 +1,7 @@
 """End-to-end CLI: every subcommand, exit codes, run-directory layout."""
 import argparse
 import csv
+import inspect
 import json
 import math
 import shutil
@@ -13,7 +14,7 @@ from desklm import cli
 from desklm import evaluation as eval_mod
 from desklm import io as dio
 from desklm import trainer as trainer_mod
-from desklm.corpus import (Document, load_packed, pack, save_packed,
+from desklm.corpus import (Document, dedup, load_packed, pack, save_packed,
                            write_jsonl)
 from desklm.model import HyperParams, Model, ModelConfig, hyperparams_to_dict
 from desklm.mup import CoordCheckResult
@@ -693,6 +694,14 @@ def test_shared_flags_are_declared_alike_in_every_command():
         kinds = {(a.option_strings[0], a.help, a.default, a.required, a.type)
                  for name in names for a in commands[name]._actions if a.dest == dest}
         assert len(kinds) == 1, (dest, kinds)
+
+
+def test_corpus_dedup_flags_default_to_dedup_defaults():
+    defaults = {name: p.default for name, p in inspect.signature(dedup).parameters.items()
+                if p.default is not p.empty}
+    assert len(defaults) == 5
+    flags = vars(cli.build_parser().parse_args(["corpus-dedup", "--corpus", "c", "--out", "o"]))
+    assert {name: flags[name] for name in defaults} == defaults
 
 
 # -- evaluation -------------------------------------------------------------------------------

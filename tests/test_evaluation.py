@@ -219,7 +219,8 @@ def test_load_eval_set_counts(eval_env):
         load_eval_set("empty", [], tok)
     with pytest.raises(ConfigError):
         load_eval_set("no-bytes", [""], tok)
-    assert load_eval_set("d", [Document("x", "d", "ab cd"), "ef"], tok) == es
+    with pytest.raises(ConfigError, match="eval set 'd': got a Document, not a str"):
+        load_eval_set("d", [Document("x", "d", "ab cd"), "ef"], tok)
     # bytes would otherwise be scored as the 10-character text "b'abc def'"
     with pytest.raises(ConfigError, match="eval set 'raw': got a bytes"):
         load_eval_set("raw", ["ab", b"abc def"], tok)

@@ -144,6 +144,21 @@ def tape_ops():
                     for n in ast.walk(fn))}
 
 
+def misnamed_tape_ops():
+    """``(function, op)`` for each ``_make(..., "<op>", ...)`` in tensor.py whose
+    op name is not the name of the function it sits in."""
+    tree = ast.parse((SRC / "tensor.py").read_text())
+    return [(fn.name, getattr(n.args[2], "value", None)) for fn in tree.body
+            if isinstance(fn, ast.FunctionDef) for n in ast.walk(fn)
+            if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_make"
+            and getattr(n.args[2], "value", None) != fn.name]
+
+
+def test_each_tape_op_is_recorded_under_its_function_name():
+    assert len(tape_ops()) == 18
+    assert misnamed_tape_ops() == []
+
+
 def fd_checked_ops():
     """Names of the ``T.<op>`` calls inside the acceptance OP_CASES lambdas."""
     path = SRC.parents[1] / "tests" / "test_acceptance.py"

@@ -386,7 +386,7 @@ def test_backward_refuses_a_tensor_that_needs_no_gradient(rng):
     with pytest.raises(RuntimeError, match="leaf tensor that needs no gradient"):
         T.Tensor(np.float64(2.0)).backward()
     const = T.sum_all(T.mul(T.Tensor(rng.standard_normal(3)), T.Tensor(np.ones(3))))
-    with pytest.raises(RuntimeError, match="sum tensor that needs no gradient"):
+    with pytest.raises(RuntimeError, match="sum_all tensor that needs no gradient"):
         const.backward()
     assert const.grad is None
 

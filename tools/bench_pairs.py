@@ -5,8 +5,8 @@
 
 The parent is ``git archive REV`` and the change is this working tree, both
 taken once at the start (``src/``, ``bench/`` and ``BENCHMARK.json``).  Every
-run gets a fresh temporary copy of its side and a fresh process of
-``python3 bench/run.py --workload W --seed S --seconds T --trace 0``.  Pair
+run gets a fresh temporary copy of its side and a fresh process of the command
+``BENCHMARK.json`` names, with ``--workload W --seed S --seconds T --trace 0``.  Pair
 ``i`` runs the parent first when ``i`` is even and the change first when it
 is odd, and all pairs of one workload run before the next workload.
 
@@ -94,18 +94,22 @@ def snapshot(rev, dest: Path) -> str:
                           check=True, capture_output=True, text=True).stdout.strip()
 
 
-def run_once(tree: Path, args, workload):
-    """One bench run in a fresh copy of ``tree``; its result line and exit code."""
+def bench_command(bench, args, workload) -> list[str]:
+    """The command ``BENCHMARK.json`` names, for one untraced run of ``workload``."""
+    return [*bench["command"], "--workload", workload, "--seed", str(args.seed),
+            "--seconds", f"{args.seconds:g}", "--trace", "0"]
+
+
+def run_once(tree: Path, cmd, seconds):
+    """One run of ``cmd`` in a fresh copy of ``tree``; its result line and exit code."""
     with tempfile.TemporaryDirectory(prefix="bench-run-") as tmp:
         copy = Path(tmp) / "tree"
         shutil.copytree(tree, copy)
-        cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(args.seed),
-               "--seconds", str(args.seconds), "--trace", "0"]
         done = subprocess.run(cmd, cwd=copy, capture_output=True, text=True,
-                              timeout=600 + 20 * args.seconds)
+                              timeout=600 + 20 * seconds)
     lines = done.stdout.strip().splitlines()
     if not lines:
-        sys.exit(f"bench_pairs: {workload} on {tree.name} printed no result "
+        sys.exit(f"bench_pairs: {' '.join(cmd)} on {tree.name} printed no result "
                  f"(exit {done.returncode}): {done.stderr[-2000:]}")
     return {**json.loads(lines[-1]), "exit_code": done.returncode}
 
@@ -136,7 +140,8 @@ def main(argv=None) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 first_side.append(order[0])
                 for side in order:
-                    runs[side].append(run_once(trees / side, args, workload))
+                    runs[side].append(run_once(trees / side, bench_command(bench, args, workload),
+                                               args.seconds))
                 print(f"{workload} pair {i + 1}/{args.pairs}: " + ", ".join(
                     f"{s} tokens_per_s {runs[s][-1]['metrics']['tokens_per_s']['value']:.6g}"
                     for s in SIDES), file=sys.stderr)
@@ -144,8 +149,7 @@ def main(argv=None) -> int:
                 "workload": workload, "seed": args.seed, "pairs": args.pairs,
                 **summarize_workload(bench["end_to_end"], runs, first_side)})
     report = {
-        "command": f"python3 bench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+        "command": " ".join(bench_command(bench, args, "W")),
         "parent": f"{rev} (git archive of {args.parent})",
         "change": "the working tree",
         "method": f"{args.pairs} interleaved pairs per workload by tools/bench_pairs.py, "
